@@ -1,4 +1,4 @@
-"""Shared uniform-grid finite-difference helpers."""
+"""Shared uniform-grid helpers: axes, finite differences, running products."""
 
 import numpy as np
 
@@ -34,3 +34,18 @@ def d_uniform(F, h, axis):
     out[-1] = (25.0 * F[-1] - 48.0 * F[-2] + 36.0 * F[-3] - 16.0 * F[-4] + 3.0 * F[-5]) / (12.0 * h)
     out[-2] = (3.0 * F[-1] + 10.0 * F[-2] - 18.0 * F[-3] + 6.0 * F[-4] - F[-5]) / (12.0 * h)
     return np.moveaxis(out, 0, axis)
+
+
+def prefix_products(steps, combine):
+    """Running products of a sequence of steps in log2(n) batched passes.
+
+    combine(earlier, later) composes two stacks of steps and must be
+    associative; entry k of the result is the composition of steps 0..k
+    (a Hillis-Steele inclusive scan).
+    """
+    out = np.array(steps, dtype=float)
+    k = 1
+    while k < len(out):
+        out[k:] = combine(out[:-k], out[k:])
+        k *= 2
+    return out

@@ -48,6 +48,7 @@ from .errors import BilegError, PreconditionError, ValidationError
 FORMAT_VERSION = "bileg/1"
 CURVE_KINDS = ("fourier", "samples", "latitude", "great_circle")
 _NAMED_AXES = {"i": (1.0, 0.0, 0.0), "j": (0.0, 1.0, 0.0), "k": (0.0, 0.0, 1.0)}
+_VECTOR_OPTIONS = ("--axis", "--start", "--pole")
 
 
 def _fmt(x):
@@ -543,8 +544,28 @@ def _build_parser():
     return parser
 
 
+def _join_vector_values(argv):
+    """Write '--pole -0.5,...' as '--pole=-0.5,...'.
+
+    argparse takes a value that starts with '-' and is not a plain negative
+    number for an option, so a negative comma vector would lose its flag.
+    """
+    out = []
+    for token in argv:
+        if out and out[-1] in _VECTOR_OPTIONS and token.startswith("-") and "," in token:
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    try:
+        args = _build_parser().parse_args(_join_vector_values(argv))
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error (message already printed) and 0 on --help
+        return exc.code
     try:
         return args.func(args)
     except ValidationError as exc:

@@ -30,6 +30,7 @@ from scipy.interpolate import CubicSpline
 from . import quat, sphere
 from ._fd import axis_array as _axis_array
 from ._fd import d_uniform as _d_uniform
+from ._fd import prefix_products as _prefix_products
 from ._fd import uniform_step as _uniform_step
 from .errors import (
     NoMaximalLattice,
@@ -685,42 +686,56 @@ def asymptotic_frame(grid, index, angle=None, tol=1e-6):
     )
 
 
-def _frenet_omega(kappa, tau):
-    return np.array(
-        [
-            [0.0, -1.0, 0.0, 0.0],
-            [1.0, 0.0, -kappa, 0.0],
-            [0.0, kappa, 0.0, -tau],
-            [0.0, 0.0, tau, 0.0],
-        ]
-    )
+def _frenet_generators(kappa, tau):
+    """Omega of the framed curve system F' = F Omega, one 4x4 per curvature sample."""
+    omega = np.zeros(np.shape(kappa) + (4, 4))
+    omega[..., 0, 1] = -1.0
+    omega[..., 1, 0] = 1.0
+    omega[..., 1, 2] = -kappa
+    omega[..., 2, 1] = kappa
+    omega[..., 2, 3] = -tau
+    omega[..., 3, 2] = tau
+    return omega
 
 
-def _renorm_frame(F):
-    Q, R = np.linalg.qr(F)
-    return Q * np.sign(np.diag(R))
+def _sample_potential(fn, t):
+    """fn on the parameter array t, point by point when fn does not broadcast."""
+    try:
+        out = np.asarray(fn(t), dtype=float)
+    except (TypeError, ValueError):
+        out = None
+    if out is None or out.shape != t.shape:
+        out = np.array([float(fn(s)) for s in t])
+    return out
 
 
 def _integrate_frenet(kappa_fn, tau, F0, t_lo, t_hi, step):
-    """Solve F' = F Omega(t) from t = 0 both ways; returns (ts, gamma, T) samples."""
+    """Solve F' = F Omega(t) from t = 0 both ways; returns (ts, gamma, T) samples.
+
+    kappa_fn maps an array of parameters to curvatures.  A classical RK4
+    step of this linear ODE is F -> F P for one 4x4 matrix P per step.  The
+    steps are built together, orthonormalized by one batched QR with the
+    signs fixed so R has a positive diagonal (for orthogonal F that equals
+    orthonormalizing F P), and chained by a prefix matrix product.
+    """
+    eye = np.eye(4)
 
     def run(t_end):
         n = max(1, math.ceil(abs(t_end) / step))
         ts = np.linspace(0.0, t_end, n + 1)
+        t, h = ts[:-1], np.diff(ts)
+        a1 = _frenet_generators(kappa_fn(t), tau)
+        omega_mid = _frenet_generators(kappa_fn(t + 0.5 * h), tau)
+        omega1 = _frenet_generators(kappa_fn(t + h), tau)
+        h = h[:, None, None]
+        a2 = (eye + 0.5 * h * a1) @ omega_mid
+        a3 = (eye + 0.5 * h * a2) @ omega_mid
+        a4 = (eye + h * a3) @ omega1
+        Q, R = np.linalg.qr(eye + (h / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4))
+        steps = Q * np.sign(np.diagonal(R, axis1=1, axis2=2))[:, None, :]
         out = np.empty((n + 1, 4, 4))
-        F = F0.copy()
-        out[0] = F
-        for idx in range(n):
-            t, h = ts[idx], ts[idx + 1] - ts[idx]
-            k1 = F @ _frenet_omega(kappa_fn(t), tau)
-            F2 = F + 0.5 * h * k1
-            k2 = F2 @ _frenet_omega(kappa_fn(t + 0.5 * h), tau)
-            F3 = F + 0.5 * h * k2
-            k3 = F3 @ _frenet_omega(kappa_fn(t + 0.5 * h), tau)
-            F4 = F + h * k3
-            k4 = F4 @ _frenet_omega(kappa_fn(t + h), tau)
-            F = _renorm_frame(F + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-            out[idx + 1] = F
+        out[0] = F0
+        out[1:] = F0 @ _prefix_products(steps, np.matmul)
         return ts, out
 
     ts_f, F_f = run(t_hi) if t_hi > 0 else (np.zeros(1), F0[None])
@@ -733,11 +748,13 @@ def _integrate_frenet(kappa_fn, tau, F0, t_lo, t_hi, step):
 def from_theta(theta0, f, g, x1, x2, step=1e-3):
     """Build the immersion classified by (exp(i theta0), f, g).
 
-    f and g are the curvature potentials d1 theta(., 0) and d2 theta(0, .).
-    The first factor solves the framed curve system with kappa = -2 f and
-    tau = -1 from the identity frame; the second uses kappa = 2 g, tau = +1,
-    and the initial direction rotated by theta0 about the last imaginary
-    axis.  Both are splined and assembled with a = 1, b = k.
+    f and g are the curvature potentials d1 theta(., 0) and d2 theta(0, .);
+    they are called on parameter arrays, or point by point when they do not
+    return an array of the same shape.  The first factor solves the framed
+    curve system with kappa = -2 f and tau = -1 from the identity frame; the
+    second uses kappa = 2 g, tau = +1, and the initial direction rotated by
+    theta0 about the last imaginary axis.  Both are splined and assembled
+    with a = 1, b = k.
     """
     x1 = _axis_array(x1, "x1")
     x2 = _axis_array(x2, "x2")
@@ -749,8 +766,10 @@ def from_theta(theta0, f, g, x1, x2, step=1e-3):
     v2 = np.array([0.0, math.cos(theta0), math.sin(theta0), 0.0])
     F0_2 = np.stack([quat.ONE, v2, quat.mul(quat.QK, v2), quat.QK], axis=-1)
 
-    ts1, G1, T1 = _integrate_frenet(lambda t: -2.0 * f(t), -1.0, F0_1, lo1, hi1, step)
-    ts2, G2, T2 = _integrate_frenet(lambda t: 2.0 * g(t), 1.0, F0_2, lo2, hi2, step)
+    ts1, G1, T1 = _integrate_frenet(lambda t: -2.0 * _sample_potential(f, t), -1.0,
+                                    F0_1, lo1, hi1, step)
+    ts2, G2, T2 = _integrate_frenet(lambda t: 2.0 * _sample_potential(g, t), 1.0,
+                                    F0_2, lo2, hi2, step)
     spl_g1, spl_t1 = CubicSpline(ts1, G1), CubicSpline(ts1, T1)
     spl_g2, spl_t2 = CubicSpline(ts2, G2), CubicSpline(ts2, T2)
     return construct(
@@ -828,9 +847,12 @@ def torus_ansatz(a, b, c1, c2, n1=65, n2=65, step=1e-3,
 
     c1 and c2 are closed spherical curves, arc-length parametrized in the
     quarter-metric, starting at the conjugated axes: c1(0) = vec(conj(a).b)
-    and c2(0) = vec(conj(b).a).  Their horizontal lifts through the identity
-    are the factor curves; the periods are the curve lengths, and the fiber
-    rotation numbers are measured from the lift holonomies.  Returns the
+    and c2(0) = vec(a.conj(b)) = -vec(b.conj(a)).  c1 is lifted on the right
+    about conj(a).b and c2 on the left about -b.conj(a), whose horizontal
+    distribution is the one `construct` checks for the second factor.  Their
+    horizontal lifts through the identity are the factor curves; the periods
+    are the curve lengths, and the fiber rotation numbers are measured from
+    the lift holonomies.  Returns the
     grid over one fundamental rectangle together with the PeriodLattice, or
     a NoLattice report when the rotation numbers fail to snap to rationals.
     """
@@ -839,7 +861,7 @@ def torus_ansatz(a, b, c1, c2, n1=65, n2=65, step=1e-3,
     if abs(float(np.dot(a, b))) > 1e-9:
         raise PreconditionError("a and b must be orthogonal")
     xi1 = quat.mul(quat.conj(a), b)
-    xi2 = quat.mul(quat.conj(b), a)
+    xi2 = -quat.mul(b, quat.conj(a))
     for name, curve, xi in (("c1", c1, xi1), ("c2", c2, xi2)):
         if not curve.closed:
             raise PreconditionError(f"{name} must be a closed curve")

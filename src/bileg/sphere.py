@@ -3,11 +3,14 @@
 S^3 is the unit quaternions, S^2 the unit imaginary quaternions.  The two
 Hopf projections about an axis xi send g to ad(g) xi (left) or ad(g^-1) xi
 (right); curves on S^2 are carried as sampled `SphereCurve` objects in the
-(b/4)-arc-length convention, and `horizontal_lift` integrates the horizontal
-distribution upstairs.  `signed_area`, `holonomy` and the Gauss-Bonnet
-residual close the loop: the rotation number of a lift over one base period
-is read off the fiber circle, and matches minus (left) or plus (right) the
-enclosed area over 4 pi.
+(b/4)-arc-length convention.  Over such a curve c the horizontal lift is
+the linear ODE g' = W g (left) or g' = g V (right) with W = -V = c x c'/2,
+so `horizontal_lift` builds each classical RK4 step as one unit quaternion,
+all steps at once, and chains them with a log-depth prefix product.
+`signed_area`, `holonomy` and the Gauss-Bonnet residual close the loop: the
+rotation number of a lift over one base period is read off the fiber
+circle, and matches minus (left) or plus (right) the enclosed area over
+4 pi.
 
 Quaternions are float arrays [w, x, y, z]; sphere points are the imaginary
 triples [x, y, z].  Both match the coefficient order of `CliffordElement`
@@ -21,6 +24,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from . import quat
+from ._fd import prefix_products as _prefix_products
 from .errors import PreconditionError, ValidationError
 
 _TWO_PI = 2.0 * math.pi
@@ -47,6 +51,8 @@ def _as_quat4(value, name="value"):
     arr = np.asarray(value, dtype=float)
     if arr.shape != (4,):
         raise ValidationError(f"{name} must have 4 components, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError(f"{name} must be finite, got {arr.tolist()}")
     return arr
 
 
@@ -59,6 +65,8 @@ def _unit_axis(axis):
         arr = arr[1:]
     if arr.shape != (3,):
         raise ValidationError(f"axis must be a 3-vector, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError(f"axis must be finite, got {arr.tolist()}")
     n = np.linalg.norm(arr)
     if abs(n - 1.0) > 1e-6:
         raise ValidationError(f"axis must be unit length, |axis| = {n:.3e}")
@@ -146,6 +154,9 @@ class SphereCurve:
             raise ValidationError(f"samples must be (N, 3), got {samples.shape}")
         if params.shape != (samples.shape[0],):
             raise ValidationError("params must match samples in length")
+        bad = np.flatnonzero(~(np.isfinite(samples).all(axis=1) & np.isfinite(params)))
+        if bad.size:
+            raise ValidationError(f"samples and params must be finite, first bad index {bad[0]}")
         norms = np.linalg.norm(samples, axis=1)
         if np.any(np.abs(norms - 1.0) > 1e-6):
             raise ValidationError("samples must be unit imaginary quaternions")
@@ -262,7 +273,7 @@ class HorizontalCurve:
     horizontality_residual: float
     speed_residual: float
     tracking_residual: float
-    _cdot: object = field(repr=False, default=None)
+    _spline: object = field(repr=False, default=None)
 
     def at(self, t):
         """Lift point at parameter t, one partial integration step off the grid."""
@@ -274,73 +285,79 @@ class HorizontalCurve:
         dt = t - self.params[idx]
         if abs(dt) < 1e-13:
             return self.samples[idx].copy()
-        cd = self._cdot(np.array([self.params[idx], self.params[idx] + 0.5 * dt, t]))
-        xi = (0.0, float(self.axis[0]), float(self.axis[1]), float(self.axis[2]))
-        g = _rk4_step(tuple(self.samples[idx]), tuple(cd[0]), tuple(cd[1]),
-                      tuple(cd[2]), dt, xi, self.side)
-        return np.array(g)
+        nodes = np.array([self.params[idx], self.params[idx] + 0.5 * dt, t])
+        w0, w_mid, w1 = _lift_generator(self._spline, nodes, self.side)
+        step = _rk4_propagators(w0, w_mid, w1, dt, self.side)
+        return _apply(step, self.samples[idx], self.side)
 
 
-def _qm(a, b):
-    aw, ax, ay, az = a
-    bw, bx, by, bz = b
-    return (
-        aw * bw - ax * bx - ay * by - az * bz,
-        aw * bx + ax * bw + ay * bz - az * by,
-        aw * by + ay * bw + az * bx - ax * bz,
-        aw * bz + az * bw + ax * by - ay * bx,
-    )
+def _lift_generator(spl, t, side):
+    """W = c x c'/2 (left) or V = -c x c'/2 (right) at the parameters t.
+
+    Over the curve c the left lift solves g' = W g and the right lift
+    g' = g V; both are linear in g.
+    """
+    c = spl(t)
+    c /= np.linalg.norm(c, axis=-1)[..., None]
+    w = 0.5 * np.cross(c, spl(t, 1))
+    return quat.from_vec3(w if side == "left" else -w)
 
 
-def _lift_velocity(g, cdot, xi, side):
-    """Body velocity u of the horizontal lift ODE at state g over base velocity cdot."""
-    g0, g1, g2, g3 = g
-    n2 = g0 * g0 + g1 * g1 + g2 * g2 + g3 * g3
-    ginv = (g0 / n2, -g1 / n2, -g2 / n2, -g3 / n2)
-    c = (0.0, cdot[0], cdot[1], cdot[2])
+def _apply(p, g, side):
+    """Act with p on g from the side the lift ODE multiplies on."""
+    return quat.mul(p, g) if side == "left" else quat.mul(g, p)
+
+
+def _rk4_propagators(w0, w_mid, w1, h, side):
+    """Unit quaternions P advancing the linear lift ODE by one classical RK4 step.
+
+    w0, w_mid and w1 are the generators at the start, middle and end of each
+    step.  For g' = W g the stage slopes are a_k g with a1 = W0,
+    a2 = Wm (1 + h/2 a1), a3 = Wm (1 + h/2 a2), a4 = W1 (1 + h a3), so the
+    step is g -> P g with P = 1 + h/6 (a1 + 2 a2 + 2 a3 + a4); the right lift
+    mirrors every product.  |P g| = |P| |g|, so normalizing P is the same
+    as renormalizing the stepped state.
+    """
+    half = 0.5 * h
+    a2 = _apply(w_mid, quat.ONE + half * w0, side)
+    a3 = _apply(w_mid, quat.ONE + half * a2, side)
+    a4 = _apply(w1, quat.ONE + h * a3, side)
+    return quat.normalize(quat.ONE + (h / 6.0) * (w0 + 2.0 * a2 + 2.0 * a3 + a4))
+
+
+def _body_velocity(g, cdot, xi, side):
+    """Body velocity u of the lift at states g over base velocities cdot.
+
+    The left lift moves as g' = g u with u = -(1/2) Im(ad(g^-1) cdot) xi, the
+    right lift as g' = u g with u = -(1/2) xi Im(ad(g) cdot); a horizontal
+    lift of a (b/4)-unit-speed curve has u orthogonal to xi and |u| = 1.
+    """
+    c = quat.from_vec3(cdot)
     if side == "left":
-        w = _qm(_qm(ginv, c), g)
-        u = _qm((0.0, w[1], w[2], w[3]), xi)
+        w = quat.from_vec3(quat.to_vec3(quat.mul(quat.mul(quat.inv(g), c), g)))
+        u = quat.mul(w, xi)
     else:
-        w = _qm(_qm(g, c), ginv)
-        u = _qm(xi, (0.0, w[1], w[2], w[3]))
-    return (-0.5 * u[1], -0.5 * u[2], -0.5 * u[3])
-
-
-def _rhs(g, cdot, xi, side):
-    u1, u2, u3 = _lift_velocity(g, cdot, xi, side)
-    u = (0.0, u1, u2, u3)
-    return _qm(g, u) if side == "left" else _qm(u, g)
-
-
-def _rk4_step(g, cd0, cd_mid, cd1, h, xi, side):
-    k1 = _rhs(g, cd0, xi, side)
-    g1 = tuple(g[m] + 0.5 * h * k1[m] for m in range(4))
-    k2 = _rhs(g1, cd_mid, xi, side)
-    g2 = tuple(g[m] + 0.5 * h * k2[m] for m in range(4))
-    k3 = _rhs(g2, cd_mid, xi, side)
-    g3 = tuple(g[m] + h * k3[m] for m in range(4))
-    k4 = _rhs(g3, cd1, xi, side)
-    out = tuple(
-        g[m] + (h / 6.0) * (k1[m] + 2.0 * k2[m] + 2.0 * k3[m] + k4[m]) for m in range(4)
-    )
-    inv_n = 1.0 / math.sqrt(sum(c * c for c in out))
-    return tuple(c * inv_n for c in out)
+        w = quat.from_vec3(quat.to_vec3(quat.mul(quat.mul(g, c), quat.inv(g))))
+        u = quat.mul(xi, w)
+    return -0.5 * quat.to_vec3(u)
 
 
 def horizontal_lift(curve, axis, side, start, step=1e-3):
     """Integrate the horizontal distribution over a (b/4)-unit-speed curve.
 
-    The left lift solves gamma' = gamma.u with u = -(1/2) ad(gamma^-1)(cdot) xi;
-    the right lift mirrors it.  Classical 4th-order steps on the ambient
-    coordinates with per-step renormalization keep the samples on S^3 to
-    machine precision.
+    The left lift solves g' = W g with W = (1/2) c x c' (the right lift
+    g' = g V with V = -W), which keeps ad(g) xi (resp. ad(g^-1) xi) on the
+    curve and g horizontal.  Every classical RK4 step of this linear ODE
+    is one unit quaternion; the steps are built together from the curve's
+    spline at the nodes and midpoints, chained by a prefix product and
+    renormalized.  The horizontality, speed and tracking residuals are
+    measured at the nodes.
     """
     _check_side(side)
     if not 0.0 < step <= 0.1:
         raise ValidationError(f"step must lie in (0, 0.1], got {step}")
     a = _unit_axis(axis)
-    xi = (0.0, float(a[0]), float(a[1]), float(a[2]))
+    xi = quat.from_vec3(a)
     g0 = _as_quat4(start, "start")
     g0 = g0 / quat.norm(g0)
 
@@ -358,25 +375,19 @@ def horizontal_lift(curve, axis, side, start, step=1e-3):
     n_steps = max(1, math.ceil((t1 - t0) / step))
     h = (t1 - t0) / n_steps
     grid = t0 + h * np.arange(n_steps + 1)
-    cdot = [tuple(row) for row in spl(grid, 1)]
-    cdot_mid = [tuple(row) for row in spl(grid[:-1] + 0.5 * h, 1)]
-
+    w = _lift_generator(spl, grid, side)
+    w_mid = _lift_generator(spl, grid[:-1] + 0.5 * h, side)
+    steps = _rk4_propagators(w[:-1], w_mid, w[1:], h, side)
+    chained = _prefix_products(steps, lambda earlier, later: _apply(later, earlier, side))
     samples = np.empty((n_steps + 1, 4))
-    g = tuple(float(v) for v in g0)
-    samples[0] = g
-    ax, ay, az = float(a[0]), float(a[1]), float(a[2])
-    horiz = 0.0
-    speed_dev = 0.0
-    for m in range(n_steps):
-        u = _lift_velocity(g, cdot[m], xi, side)
-        horiz = max(horiz, abs(u[0] * ax + u[1] * ay + u[2] * az))
-        speed_dev = max(speed_dev, abs(math.sqrt(u[0] ** 2 + u[1] ** 2 + u[2] ** 2) - 1.0))
-        g = _rk4_step(g, cdot[m], cdot_mid[m], cdot[m + 1], h, xi, side)
-        samples[m + 1] = g
+    samples[0] = g0
+    samples[1:] = quat.normalize(_apply(chained, g0, side))
 
+    u = _body_velocity(samples[:-1], spl(grid[:-1], 1), xi, side)
+    horiz = float(np.abs(u @ a).max())
+    speed_dev = float(np.abs(np.linalg.norm(u, axis=1) - 1.0).max())
     track = hopf(a, side, samples) - spl(grid)
     tracking = float(np.linalg.norm(track, axis=1).max())
-    cdot_fn = lambda t: spl(np.asarray(t), 1)
     return HorizontalCurve(
         params=grid,
         samples=samples,
@@ -386,7 +397,7 @@ def horizontal_lift(curve, axis, side, start, step=1e-3):
         horizontality_residual=horiz,
         speed_residual=speed_dev,
         tracking_residual=tracking,
-        _cdot=cdot_fn,
+        _spline=spl,
     )
 
 

@@ -54,6 +54,19 @@ class TestLift:
         assert abs(last[0] - math.pi) < 1e-9
         assert np.abs(np.array(last[1:]) - [-1.0, 0.0, 0.0, 0.0]).max() < 1e-6
 
+    def test_negative_vectors_are_values(self, tmp_path, capsys):
+        spec = _great_circle_spec(tmp_path, samples=512)
+        # -1 lies in the fiber over the curve start, as does +1
+        assert cli.main(["lift", "--curve", spec, "--start", "-1,0,0,0"]) == 0
+        assert cli.main(["lift", "--curve", spec, "--axis", "-1,0,0"]) == 0
+        assert cli.main(["lift", "--curve", spec, "--start", "-0.5,0.5,0.5,0.5"]) == 3
+
+    def test_usage_errors_return_instead_of_exiting(self, tmp_path, capsys):
+        assert cli.main(["lift"]) == 2
+        assert cli.main(["lift", "--curve"]) == 2
+        assert cli.main(["--help"]) == 0
+        assert "usage" in capsys.readouterr().out
+
     def test_malformed_json_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{ not json")
@@ -296,6 +309,9 @@ class TestExport:
         lines = mesh.read_text().splitlines()
         assert sum(l.startswith("v ") for l in lines) == 9
         assert sum(l.startswith("f ") for l in lines) == 8
+        # a pole given with a leading minus sign is a value, not an option
+        assert cli.main(["export", "--in", str(surface),
+                         "--pole", "-0.8,0,0.6,0", "--out", str(mesh)]) == 0
 
     def test_pole_on_surface_exits_3(self, tmp_path, capsys):
         spec = _clifford_spec(tmp_path, t_range=(0.0, 2 * math.pi), n=17)

@@ -519,3 +519,23 @@ def test_gauss_map_general_axis():
     assert gm.equation_residual < 1e-10
     assert abs(np.linalg.norm(gm.m) - 1.0) < 1e-9
     assert abs(np.linalg.norm(gm.n) - 1.0) < 1e-9
+
+
+def test_torus_ansatz_general_orthonormal_pair():
+    # a and b need not commute: c2 is lifted about -b.conj(a), which has the
+    # horizontal distribution construct checks for the second factor
+    rng = np.random.default_rng(17)
+    for _ in range(2):
+        a = quat.normalize(rng.normal(size=4))
+        b = rng.normal(size=4)
+        b = quat.normalize(b - np.dot(a, b) * a)
+        s1 = quat.mul(quat.conj(a), b)[1:]
+        s2 = -quat.mul(b, quat.conj(a))[1:]
+        c1 = latitude_through(s1, np.cross(s1, rng.normal(size=3)), math.pi / 2, n=2049)
+        c2 = latitude_through(s2, np.cross(s2, rng.normal(size=3)), math.pi / 2,
+                              ccw=True, n=2049)
+        grid, lat = torus_ansatz(a, b, c1, c2, n1=33, n2=33)
+        assert isinstance(lat, PeriodLattice)
+        assert lat.q1 == Fraction(1, 2) and lat.q2 == Fraction(1, 2)
+        again = period_lattice(grid.factors, p1=lat.p1, p2=lat.p2)
+        assert again.q1 == lat.q1 and again.q2 == lat.q2

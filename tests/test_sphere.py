@@ -454,3 +454,19 @@ def test_sphere_curve_validation():
     # chord bound: antipodal jump
     with pytest.raises(ValidationError):
         SphereCurve(np.array([[1.0, 0, 0], [-1.0, 0, 0]]), np.array([0.0, 1.0]))
+
+
+def test_non_finite_input_is_rejected():
+    curve = _great_circle_curve(n=2001)
+    bad = curve.samples.copy()
+    bad[5] = [np.nan, 0.0, 0.0]
+    with pytest.raises(ValidationError):
+        SphereCurve(bad, curve.params, closed=True)
+    params = curve.params.copy()
+    params[-1] = np.inf
+    with pytest.raises(ValidationError):
+        SphereCurve(curve.samples, params, closed=True)
+    with pytest.raises(ValidationError):
+        horizontal_lift(curve, I3, "left", np.array([np.nan, 0.0, 0.0, 0.0]))
+    with pytest.raises(ValidationError):
+        horizontal_lift(curve, np.array([np.nan, 0.0, 0.0]), "left", np.array([1.0, 0, 0, 0]))
