@@ -5,10 +5,25 @@ import numpy as np
 from .errors import ValidationError
 
 
+def require_finite(name, *grids, nodes=2):
+    """Raise ValidationError naming the first node at which a grid is not finite.
+
+    The leading `nodes` axes index the nodes and any further axes hold the
+    components at a node; all grids share the node axes.
+    """
+    ok = np.logical_and.reduce(
+        [np.isfinite(g).reshape(g.shape[:nodes] + (-1,)).all(axis=-1) for g in grids])
+    if not ok.all():
+        bad = tuple(int(k) for k in np.argwhere(~ok)[0])
+        where = f"index {bad[0]}" if nodes == 1 else f"node {bad}"
+        raise ValidationError(f"{name} must be finite, first bad {where}")
+
+
 def axis_array(x, name):
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 1 or arr.size < 2:
         raise ValidationError(f"{name} must be a 1-d array with at least 2 entries")
+    require_finite(name, arr, nodes=1)
     if np.any(np.diff(arr) <= 0.0):
         raise ValidationError(f"{name} must be strictly increasing")
     return arr

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import RectBivariateSpline
 
-from ._fd import axis_array, d_uniform, uniform_step
+from ._fd import axis_array, d_uniform, require_finite, uniform_step
 from .errors import PreconditionError, ValidationError
 
 H3_SIGMA = np.array([1.0, 1.0, 1.0, -1.0])
@@ -83,6 +83,7 @@ class SurfacePatch:
         self.nu = np.asarray(self.nu, dtype=float)
         if self.e.shape != shape or self.nu.shape != shape:
             raise ValidationError(f"e and nu must have shape {shape}")
+        require_finite("e and nu", self.e, self.nu)
         sigma = _sigma(self.ambient)
         unit = np.abs(_bdot(sigma, self.nu, self.nu) - 1.0).max()
         if unit > 1e-8:
@@ -389,7 +390,8 @@ class ThetaGrid:
         if self.theta.shape != (len(self.x), len(self.y)):
             raise ValidationError(
                 f"theta must have shape {(len(self.x), len(self.y))}")
-        if self.k <= 0:
+        require_finite("theta", self.theta)
+        if not self.k > 0:
             raise ValidationError("k must be positive")
 
     @property

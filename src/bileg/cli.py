@@ -250,12 +250,13 @@ def read_surface(path):
     except KeyError as exc:
         raise ValidationError(f"surface header is missing {exc.args[0]!r}") from None
     _require(n1 >= 2 and n2 >= 2, "surface grids need at least 2 samples per axis")
-    x1 = np.linspace(r1[0], r1[1], n1)
-    x2 = np.linspace(r2[0], r2[1], n2)
     X = np.asarray(data.get("X"), dtype=float)
     Y = np.asarray(data.get("Y"), dtype=float)
+    # the data present bounds the header sizes before any axis is allocated
     _require(X.shape == (n1 * n2, 4) and Y.shape == (n1 * n2, 4),
              f"X and Y must be flat lists of {n1 * n2} quaternions")
+    x1 = np.linspace(r1[0], r1[1], n1)
+    x2 = np.linspace(r2[0], r2[1], n2)
     grid = factory.ImmersionGrid(x1, x2, X.reshape(n1, n2, 4), Y.reshape(n1, n2, 4))
     return grid, data.get("factorization")
 

@@ -8,8 +8,9 @@ A bilegendrian immersion of the plane into the unit tangent bundle of the
 where a, b are orthogonal unit quaternions, gamma1 is a right horizontal
 arc-length curve for the axis conj(a).b, and gamma2 is a left horizontal
 arc-length curve for the axis b.conj(a).  This module builds such immersions
-from factor curves (`construct`), recovers the factors from a sampled
-immersion (`factorize`, `lie_factorize`), measures every structural residual
+from factor curves (`construct`), reads the factors of a sampled product off
+its coordinate axes (`factorize`; `lie_factorize` for any unit quaternion
+grid that passes the product criterion), measures every structural residual
 (`residual_suite`), extracts the angle function and asymptotic Frenet frames
 that classify the immersion (`angle_function`, `asymptotic_frame`,
 `from_theta`), and handles the doubly-periodic case: the torus ansatz from
@@ -31,6 +32,7 @@ from . import quat, sphere
 from ._fd import axis_array as _axis_array
 from ._fd import d_uniform as _d_uniform
 from ._fd import prefix_products as _prefix_products
+from ._fd import require_finite as _require_finite
 from ._fd import uniform_step as _uniform_step
 from .errors import (
     NoMaximalLattice,
@@ -150,6 +152,7 @@ class ImmersionGrid:
         shape = (len(self.x1), len(self.x2), 4)
         if X.shape != shape or Y.shape != shape:
             raise ValidationError(f"X and Y must have shape {shape}")
+        _require_finite("X and Y", X, Y)
         unit = max(
             float(np.abs(np.linalg.norm(X, axis=-1) - 1.0).max()),
             float(np.abs(np.linalg.norm(Y, axis=-1) - 1.0).max()),
@@ -164,11 +167,20 @@ class ImmersionGrid:
 
     def origin(self):
         """Indices (i0, j0) of the parameter origin; the grid must contain it."""
-        i0 = int(np.argmin(np.abs(self.x1)))
-        j0 = int(np.argmin(np.abs(self.x2)))
-        if abs(self.x1[i0]) > 1e-9 or abs(self.x2[j0]) > 1e-9:
-            raise ValidationError("the grid must contain the parameter origin (0, 0)")
-        return i0, j0
+        return _origin(self.x1, self.x2)
+
+
+def _origin(x1, x2):
+    i0 = int(np.argmin(np.abs(x1)))
+    j0 = int(np.argmin(np.abs(x2)))
+    if abs(x1[i0]) > 1e-9 or abs(x2[j0]) > 1e-9:
+        raise ValidationError("the grid must contain the parameter origin (0, 0)")
+    return i0, j0
+
+
+def _product(L, c, R):
+    """The product grid L(x2) . c . R(x1), indexed [i, j] for (x1[i], x2[j])."""
+    return quat.mul(L[None, :, :], quat.mul(c, R)[:, None, :])
 
 
 def _partials(grid):
@@ -179,19 +191,12 @@ def _partials(grid):
         G2 = _eval_curve(f.gamma2, grid.x2)
         dG1 = f.velocity1(grid.x1)
         dG2 = f.velocity2(grid.x2)
-        d1X = quat.mul(G2[None, :, :], quat.mul(f.a, dG1)[:, None, :])
-        d2X = quat.mul(dG2[None, :, :], quat.mul(f.a, G1)[:, None, :])
-        d1Y = quat.mul(G2[None, :, :], quat.mul(f.b, dG1)[:, None, :])
-        d2Y = quat.mul(dG2[None, :, :], quat.mul(f.b, G1)[:, None, :])
-        return d1X, d2X, d1Y, d2Y
+        return (_product(G2, f.a, dG1), _product(dG2, f.a, G1),
+                _product(G2, f.b, dG1), _product(dG2, f.b, G1))
     h1 = _uniform_step(grid.x1, "x1")
     h2 = _uniform_step(grid.x2, "x2")
-    return (
-        _d_uniform(grid.X, h1, 0),
-        _d_uniform(grid.X, h2, 1),
-        _d_uniform(grid.Y, h1, 0),
-        _d_uniform(grid.Y, h2, 1),
-    )
+    return (_d_uniform(grid.X, h1, 0), _d_uniform(grid.X, h2, 1),
+            _d_uniform(grid.Y, h1, 0), _d_uniform(grid.Y, h2, 1))
 
 
 def _second_partials(grid, parts):
@@ -203,8 +208,8 @@ def _second_partials(grid, parts):
     if f is not None and f.dgamma1 is not None and f.dgamma2 is not None:
         dG1 = f.velocity1(grid.x1)
         dG2 = f.velocity2(grid.x2)
-        d12X = quat.mul(dG2[None, :, :], quat.mul(f.a, dG1)[:, None, :])
-        d12Y = quat.mul(dG2[None, :, :], quat.mul(f.b, dG1)[:, None, :])
+        d12X = _product(dG2, f.a, dG1)
+        d12Y = _product(dG2, f.b, dG1)
     else:
         d12X = _d_uniform(d2X, h1, 0)
         d12Y = _d_uniform(d2Y, h1, 0)
@@ -264,12 +269,27 @@ def construct(a, b, gamma1, gamma2, x1, x2, dgamma1=None, dgamma2=None,
 
     G1 = _eval_curve(factors.gamma1, x1)
     G2 = _eval_curve(factors.gamma2, x2)
-    X = quat.mul(G2[None, :, :], quat.mul(factors.a, G1)[:, None, :])
-    Y = quat.mul(G2[None, :, :], quat.mul(factors.b, G1)[:, None, :])
+    X = _product(G2, factors.a, G1)
+    Y = _product(G2, factors.b, G1)
     norms = np.linalg.norm(X, axis=-1)
     X = X / norms[..., None]
     Y = Y / np.linalg.norm(Y, axis=-1)[..., None]
     return ImmersionGrid(x1, x2, X, Y, factors=factors)
+
+
+def _split(origin, *grids):
+    """Read the factors of product grids B(x2) . c_k . A(x1) off the axes.
+
+    c_k = grid_k(0, 0); A = conj(c_0) . M(., 0) and B = M(0, .) . conj(c_0) come
+    from the first grid M and are exact on the axes.  Returns ([c_k], A, B, r)
+    with r the worst |grid_k - B . c_k . A| over all grids."""
+    i0, j0 = origin
+    consts = [g[i0, j0] for g in grids]
+    A = quat.mul(quat.conj(consts[0]), grids[0][:, j0])
+    B = quat.mul(grids[0][i0, :], quat.conj(consts[0]))
+    residual = max(float(np.linalg.norm(g - _product(B, c, A), axis=-1).max())
+                   for g, c in zip(grids, consts))
+    return consts, A, B, residual
 
 
 def factorize(grid, tol=1e-6):
@@ -280,18 +300,7 @@ def factorize(grid, tol=1e-6):
     checks that the product reproduces the whole grid.  Raises NotFactorizable
     when the reconstruction residual exceeds tol.
     """
-    i0, j0 = grid.origin()
-    a = grid.X[i0, j0]
-    b = grid.Y[i0, j0]
-    G1 = quat.mul(quat.conj(a), grid.X[:, j0])
-    G2 = quat.mul(grid.X[i0, :], quat.conj(a))
-
-    Xr = quat.mul(G2[None, :, :], quat.mul(a, G1)[:, None, :])
-    Yr = quat.mul(G2[None, :, :], quat.mul(b, G1)[:, None, :])
-    residual = max(
-        float(np.linalg.norm(grid.X - Xr, axis=-1).max()),
-        float(np.linalg.norm(grid.Y - Yr, axis=-1).max()),
-    )
+    (a, b), G1, G2, residual = _split(grid.origin(), grid.X, grid.Y)
     if residual > tol:
         raise NotFactorizable(
             f"the grid is not a two-factor product: reconstruction residual {residual:.3e}"
@@ -308,7 +317,12 @@ def factorize(grid, tol=1e-6):
 
 @dataclass
 class LieFactors:
-    """Separable factorization M(x1, x2) = B(x2) . C . A(x1) of a group-valued grid."""
+    """Separable factorization M(x1, x2) = B(x2) . C . A(x1) of a group-valued grid.
+
+    C = M(0, 0) and A, B are read off the axes, so B . C . A equals M there;
+    reconstruction_residual, the worst |M - B . C . A|, measures only the
+    nodes off the axes.
+    """
 
     x1: np.ndarray
     x2: np.ndarray
@@ -319,27 +333,12 @@ class LieFactors:
     reconstruction_residual: float
 
 
-def _rk4_quat(y, t, h, rhs):
-    k1 = rhs(t, y)
-    k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
-    k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
-    k4 = rhs(t + h, y + h * k3)
-    y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return y / np.linalg.norm(y)
-
-
-def _march_group(ts, i0, rhs):
-    out = np.empty((len(ts), 4))
-    out[i0] = quat.ONE
-    y = quat.ONE.copy()
-    for i in range(i0, len(ts) - 1):
-        y = _rk4_quat(y, ts[i], ts[i + 1] - ts[i], rhs)
-        out[i + 1] = y
-    y = out[i0].copy()
-    for i in range(i0, 0, -1):
-        y = _rk4_quat(y, ts[i], ts[i - 1] - ts[i], rhs)
-        out[i - 1] = y
-    return out
+def _product_criterion(M, d1M, d2M, h1, h2):
+    """Worst |d2(conj(M) d1M)| and |d1((d2M) conj(M))|; both vanish on a product."""
+    U = quat.mul(quat.conj(M), d1M)
+    V = quat.mul(d2M, quat.conj(M))
+    return max(float(np.linalg.norm(_d_uniform(U, h2, 1), axis=-1).max()),
+               float(np.linalg.norm(_d_uniform(V, h1, 0), axis=-1).max()))
 
 
 def lie_factorize(x1, x2, M, tol=1e-6):
@@ -347,47 +346,32 @@ def lie_factorize(x1, x2, M, tol=1e-6):
 
     The split exists iff the logarithmic derivative criterion holds:
     d2(conj(M) d1M) = d1((d2M) conj(M)) = 0.  Its worst residual above tol
-    raises NotFactorizable.  A and B are integrated from the criterion data
-    along the axes with A(0) = B(0) = 1, and C = M(0, 0).
+    raises NotFactorizable.  Once it holds, the factors are read off the
+    axes: C = M(0, 0), A = conj(C) . M(., 0) and B = M(0, .) . conj(C), so
+    A(0) = B(0) = 1.
     """
     x1 = _axis_array(x1, "x1")
     x2 = _axis_array(x2, "x2")
     M = np.asarray(M, dtype=float)
     if M.shape != (len(x1), len(x2), 4):
         raise ValidationError(f"M must have shape {(len(x1), len(x2), 4)}")
+    _require_finite("M", M)
     norms = np.linalg.norm(M, axis=-1)
     if np.abs(norms - 1.0).max() > 1e-6:
         raise ValidationError("M must consist of unit quaternions")
     M = M / norms[..., None]
     h1 = _uniform_step(x1, "x1")
     h2 = _uniform_step(x2, "x2")
-    i0 = int(np.argmin(np.abs(x1)))
-    j0 = int(np.argmin(np.abs(x2)))
-    if abs(x1[i0]) > 1e-9 or abs(x2[j0]) > 1e-9:
-        raise ValidationError("the grid must contain the parameter origin (0, 0)")
+    origin = _origin(x1, x2)
 
-    d1M = _d_uniform(M, h1, 0)
-    d2M = _d_uniform(M, h2, 1)
-    U = quat.mul(quat.conj(M), d1M)
-    V = quat.mul(d2M, quat.conj(M))
-    criterion = max(
-        float(np.linalg.norm(_d_uniform(U, h2, 1), axis=-1).max()),
-        float(np.linalg.norm(_d_uniform(V, h1, 0), axis=-1).max()),
-    )
+    criterion = _product_criterion(M, _d_uniform(M, h1, 0), _d_uniform(M, h2, 1), h1, h2)
     if criterion > tol:
         raise NotFactorizable(
             f"the product criterion fails with residual {criterion:.3e}; "
             "the grid does not separate into single-variable factors"
         )
 
-    alpha = CubicSpline(x1, U[:, j0])
-    beta = CubicSpline(x2, V[i0, :])
-    A = _march_group(x1, i0, lambda t, y: quat.mul(y, alpha(t)))
-    B = _march_group(x2, j0, lambda t, y: quat.mul(beta(t), y))
-    C = M[i0, j0]
-
-    Mr = quat.mul(B[None, :, :], quat.mul(C, A)[:, None, :])
-    reconstruction = float(np.linalg.norm(M - Mr, axis=-1).max())
+    (C,), A, B, reconstruction = _split(origin, M)
     return LieFactors(x1, x2, A, B, C, criterion, reconstruction)
 
 
@@ -435,27 +419,25 @@ def residual_suite(grid):
     )
     h1 = _uniform_step(grid.x1, "x1")
     h2 = _uniform_step(grid.x2, "x2")
-    U = quat.mul(quat.conj(X), d1X)
-    V = quat.mul(d2X, quat.conj(X))
-    out["product_criterion"] = float(
-        max(
-            np.linalg.norm(_d_uniform(U, h2, 1), axis=-1).max(),
-            np.linalg.norm(_d_uniform(V, h1, 0), axis=-1).max(),
-        )
-    )
+    out["product_criterion"] = _product_criterion(X, d1X, d2X, h1, h2)
     sec = _second_partials(grid, parts)
-    c122 = _bdot(sec["12X"], d2Y) - _bdot(sec["12Y"], d2X)
-    c211 = _bdot(sec["12X"], d1Y) - _bdot(sec["12Y"], d1X)
-    out["cubic_122"] = float(np.abs(c122).max())
-    out["cubic_211"] = float(np.abs(c211).max())
-    chat = 0.0
-    for lead in ("1", "2"):
-        for diag, dX, dY in (("1", d1X, d1Y), ("2", d2X, d2Y)):
-            key = lead + diag if lead <= diag else diag + lead
-            entry = _bdot(sec[key + "X"], dY) + _bdot(sec[key + "Y"], dX)
-            chat = max(chat, float(np.abs(entry).max()))
-    out["cubic_hat"] = chat
+    out["cubic_122"] = float(np.abs(_cubic(sec, parts, "122")).max())
+    out["cubic_211"] = float(np.abs(_cubic(sec, parts, "211")).max())
+    out["cubic_hat"] = float(np.max([np.abs(_cubic(sec, parts, lead + diag + diag, hat=True)).max()
+                                     for lead in "12" for diag in "12"]))
     return out
+
+
+def _cubic(sec, parts, uvw, hat=False):
+    """Entry uvw (e.g. "122") of C(u, v, w) = b(du dv X, dw Y) - b(du dv Y, dw X),
+    or with hat of the conjugate form -(b(du dv X, dw Y) + b(du dv Y, dw X))."""
+    u, v, w = uvw
+    pair = min(u, v) + max(u, v)
+    k = int(w) - 1
+    dX, dY = parts[k], parts[k + 2]
+    if hat:
+        return -(_bdot(sec[pair + "X"], dY) + _bdot(sec[pair + "Y"], dX))
+    return _bdot(sec[pair + "X"], dY) - _bdot(sec[pair + "Y"], dX)
 
 
 def cubic_form_entries(grid):
@@ -465,23 +447,12 @@ def cubic_form_entries(grid):
     negates the symmetrized combination.  Keys C111 ... C222 follow the index
     pattern (lead, diag, diag); Chat entries likewise.
     """
-    d1X, d2X, d1Y, d2Y = parts = _partials(grid)
+    parts = _partials(grid)
     sec = _second_partials(grid, parts)
-    firsts = {"1": (d1X, d1Y), "2": (d2X, d2Y)}
-    out = {}
-    for u in ("1", "2"):
-        for v in ("1", "2"):
-            pair = u + v if u <= v else v + u
-            for w in ("1", "2"):
-                dX, dY = firsts[w]
-                out["C" + u + v + w] = _bdot(sec[pair + "X"], dY) - _bdot(sec[pair + "Y"], dX)
-    for lead in ("1", "2"):
-        for diag in ("1", "2"):
-            pair = lead + diag if lead <= diag else diag + lead
-            dX, dY = firsts[diag]
-            out["Chat" + lead + diag + diag] = -(
-                _bdot(sec[pair + "X"], dY) + _bdot(sec[pair + "Y"], dX)
-            )
+    out = {"C" + u + v + w: _cubic(sec, parts, u + v + w)
+           for u in "12" for v in "12" for w in "12"}
+    out.update({"Chat" + lead + diag + diag: _cubic(sec, parts, lead + diag + diag, hat=True)
+                for lead in "12" for diag in "12"})
     return out
 
 
@@ -661,7 +632,7 @@ def asymptotic_frame(grid, index, angle=None, tol=1e-6):
         B = grid.Y[i0, :]
         eps = EPS2
         dtheta = angle.dtheta2
-    N = quat.mul(B, quat.mul(quat.conj(gam), T))
+    N = _apply_A(gam, B, T)
     h = _uniform_step(t, f"x{index}")
     Tdot = _d_uniform(T, h, 0)
     Ndot = _d_uniform(N, h, 0)

@@ -50,6 +50,17 @@ class TestSurfacePatch:
         with pytest.raises(ValidationError, match="satisfy"):
             cec.SurfacePatch("hyperboloid", cyl.x1, cyl.x2, 1.5 * cyl.e, cyl.nu)
 
+    def test_rejects_non_finite_nodes(self):
+        p = sphere_patch(1.0, n=17)
+        e, nu = p.e.copy(), p.nu.copy()
+        e[2, 9, 1] = np.nan
+        message = r"e and nu must be finite, first bad node \(2, 9\)"
+        with pytest.raises(ValidationError, match=message):
+            cec.SurfacePatch("euclidean", p.x1, p.x2, e, p.nu)
+        nu[11, 0, 2] = np.nan
+        with pytest.raises(ValidationError, match=r"first bad node \(11, 0\)"):
+            cec.SurfacePatch("euclidean", p.x1, p.x2, p.e, nu)
+
 
 class TestFundamentalForms:
     def test_round_sphere_shape(self):
@@ -282,8 +293,16 @@ class TestSineGordon:
 
     def test_rejects_nonpositive_k(self):
         x = np.linspace(-1.0, 1.0, 9)
-        with pytest.raises(ValidationError, match="positive"):
-            cec.ThetaGrid(x, x, np.zeros((9, 9)), k=-1.0)
+        for k in (-1.0, float("nan")):
+            with pytest.raises(ValidationError, match="positive"):
+                cec.ThetaGrid(x, x, np.zeros((9, 9)), k=k)
+
+    def test_rejects_non_finite_theta(self):
+        x = np.linspace(-1.0, 1.0, 9)
+        theta = np.zeros((9, 9))
+        theta[4, 2] = np.nan
+        with pytest.raises(ValidationError, match=r"theta must be finite, first bad node \(4, 2\)"):
+            cec.ThetaGrid(x, x, theta, k=1.0)
 
 
 class TestHazzidaki:

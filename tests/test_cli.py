@@ -266,6 +266,29 @@ class TestSurfaceFiles:
         assert cli.main(["verify", "--in", path]) == 2
         assert "header" in capsys.readouterr().err
 
+    def test_header_sizes_are_bounded_by_the_data(self, tmp_path, capsys):
+        # the axes are never allocated at the header's size, so this exits at once
+        quats = [[1.0, 0.0, 0.0, 0.0]] * 4
+        path = _write_json(tmp_path / "huge.json", {
+            "version": "bileg/1", "X": quats, "Y": quats,
+            "header": {"n1": 10**15, "n2": 2, "t1_range": [-1, 1], "t2_range": [-1, 1]}})
+        assert cli.main(["verify", "--in", path]) == 2
+        assert "quaternions" in capsys.readouterr().err
+
+    def test_non_finite_node_exits_2(self, tmp_path, capsys):
+        spec = _clifford_spec(tmp_path, n=17)
+        surface = tmp_path / "surface.json"
+        assert cli.main(["construct", "--spec", spec, "--out", str(surface)]) == 0
+        data = json.loads(surface.read_text())
+        data["X"][5 * 17 + 3][1] = float("nan")  # node (5, 3), row-major
+        bad = _write_json(tmp_path / "nan.json", data)
+        for command in (["verify", "--in", bad],
+                        ["angle", "--in", bad, "--out", str(tmp_path / "theta.csv")],
+                        ["factorize", "--in", bad, "--out", str(tmp_path / "factors.json")]):
+            capsys.readouterr()
+            assert cli.main(command) == 2, command[0]
+            assert "first bad node (5, 3)" in capsys.readouterr().err
+
 
 class TestExport:
     def test_torus_is_watertight(self, tmp_path, capsys):

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bileg import quat, sphere
 from bileg.errors import (
@@ -157,6 +159,25 @@ def test_immersion_grid_validation():
         ImmersionGrid(off, off, good.X, good.Y).origin()
 
 
+def test_non_finite_grids_are_rejected():
+    good = _clifford_grid(n=11, half=0.5)
+    x = good.x1
+    X = good.X.copy()
+    X[3, 7, 2] = np.nan
+    with pytest.raises(ValidationError, match=r"X and Y must be finite, first bad node \(3, 7\)"):
+        ImmersionGrid(x, x, X, good.Y)
+    Y = good.Y.copy()
+    Y[4, 1, 0] = np.inf
+    with pytest.raises(ValidationError, match=r"first bad node \(4, 1\)"):
+        ImmersionGrid(x, x, good.X, Y)
+    with pytest.raises(ValidationError, match=r"M must be finite, first bad node \(3, 7\)"):
+        lie_factorize(x, x, X)
+    axis = x.copy()
+    axis[6] = np.nan
+    with pytest.raises(ValidationError, match="x2 must be finite, first bad index 6"):
+        ImmersionGrid(x, axis, good.X, good.Y)
+
+
 # factorization
 
 
@@ -215,6 +236,57 @@ def test_lie_factorize_constant():
     assert np.abs(fac.A - quat.ONE).max() < 1e-12
     assert np.abs(fac.B - quat.ONE).max() < 1e-12
     assert np.abs(fac.C - c).max() < 1e-12
+
+
+_COMPONENTS = st.floats(-1.0, 1.0)
+_VECTOR3 = st.tuples(_COMPONENTS, _COMPONENTS, _COMPONENTS)
+
+
+def _unit(v):
+    v = np.asarray(v, float)
+    norm = np.linalg.norm(v)
+    assume(norm > 0.2)
+    return v / norm
+
+
+def _orthogonal_unit(v, axis):
+    v = np.asarray(v, float)
+    return _unit(v - np.dot(v, axis) * axis)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    a=st.tuples(_COMPONENTS, _COMPONENTS, _COMPONENTS, _COMPONENTS),
+    v=_VECTOR3, r1=_VECTOR3, r2=_VECTOR3,
+    below=st.tuples(st.integers(2, 12), st.integers(2, 12)),
+    above=st.tuples(st.integers(2, 12), st.integers(2, 12)),
+    step=st.floats(0.05, 0.1),
+    twist=st.floats(0.02, 0.05),
+)
+def test_factorizations_round_trip(a, v, r1, r2, below, above, step, twist):
+    # orthonormal (a, b) and one-parameter factors horizontal for their axes
+    a = _unit(a)
+    b = quat.mul(a, quat.from_vec3(_unit(v)))
+    g1, dg1 = _exp_circle(_orthogonal_unit(r1, quat.mul(quat.conj(a), b)[1:]))
+    g2, dg2 = _exp_circle(_orthogonal_unit(r2, quat.mul(b, quat.conj(a))[1:]))
+    x1 = step * np.arange(-below[0], above[0] + 1)
+    x2 = step * np.arange(-below[1], above[1] + 1)
+    grid = construct(a, b, g1, g2, x1, x2, dgamma1=dg1, dgamma2=dg2)
+
+    fac = factorize(grid)
+    lie = lie_factorize(x1, x2, grid.X)
+    for got, want in ((fac.a, a), (fac.b, b), (lie.C, a),
+                      (lie.A, fac.gamma1(x1)), (lie.A, g1(x1)),
+                      (lie.B, fac.gamma2(x2)), (lie.B, g2(x2))):
+        assert np.abs(got - want).max() < 1e-12
+
+    # a left twist by a non-separable angle keeps X, Y unit and orthogonal
+    turn = g1(twist * np.multiply.outer(x1, x2))
+    Xp, Yp = quat.mul(turn, grid.X), quat.mul(turn, grid.Y)
+    with pytest.raises(NotFactorizable):
+        factorize(ImmersionGrid(x1, x2, Xp, Yp))
+    with pytest.raises(NotFactorizable):
+        lie_factorize(x1, x2, Xp)
 
 
 def test_lie_factorize_counterexample():
