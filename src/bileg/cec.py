@@ -16,6 +16,7 @@ b(e, e) = -1 in R^{3,1} with b = diag(1, 1, 1, -1).  Grids are indexed
 F[i, j] with i along the first parameter axis.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -38,7 +39,28 @@ def _sigma(ambient):
 
 
 def _bdot(sigma, p, q):
-    return np.sum(sigma * p * q, axis=-1)
+    # summed in order: bit-identical to np.sum(sigma * p * q, axis=-1) up to
+    # the sign of an exact zero, at a fraction of its cost
+    return functools.reduce(np.add, (s * p[..., i] * q[..., i] for i, s in enumerate(sigma)))
+
+
+def _det2(M):
+    return M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
+
+
+def _mul2(A, B):
+    """Stacked 2x2 products A @ B, entry by entry."""
+    out = np.empty(np.broadcast_shapes(A.shape, B.shape))
+    for i in range(2):
+        for k in range(2):
+            out[..., i, k] = A[..., i, 0] * B[..., 0, k] + A[..., i, 1] * B[..., 1, k]
+    return out
+
+
+def _det3(m):
+    """Determinant of a 3x3 matrix given as rows of grids, by first-row cofactors."""
+    (a, b, c), (d, e, f), (g, h, i) = m
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
 def _levi_civita4():
@@ -131,16 +153,20 @@ class FundamentalForms:
 
 def _assemble_forms(x1, x2, I, II_raw, III):
     scale = np.abs(I).max() + 1.0
-    det_I = np.linalg.det(I)
+    det_I = _det2(I)
     if np.abs(det_I).min() < 1e-12 * scale**2:
         raise PreconditionError("degenerate first fundamental form node")
     sym = float(np.abs(II_raw - np.swapaxes(II_raw, -1, -2)).max())
     II = 0.5 * (II_raw + np.swapaxes(II_raw, -1, -2))
-    shape = np.linalg.solve(I, II)
-    third = float(np.abs(III - II @ np.linalg.solve(I, II)).max())
+    # shape = I^-1 II through the adjugate of I
+    adj = np.empty_like(I)
+    adj[..., 0, 0], adj[..., 1, 1] = I[..., 1, 1], I[..., 0, 0]
+    adj[..., 0, 1], adj[..., 1, 0] = -I[..., 0, 1], -I[..., 1, 0]
+    shape = _mul2(adj, II) / det_I[..., None, None]
+    third = float(np.abs(III - _mul2(II, shape)).max())
     return FundamentalForms(
         x1=x1, x2=x2, I=I, II=II, III=III, shape=shape,
-        det_shape=np.linalg.det(shape),
+        det_shape=_det2(shape),
         symmetry_residual=sym, third_form_residual=third,
     )
 
@@ -158,9 +184,10 @@ def fundamental_forms(patch):
     III = np.empty_like(I)
     for a in range(2):
         for b_ in range(2):
-            I[..., a, b_] = _bdot(sigma, de[a], de[b_])
             II[..., a, b_] = _bdot(sigma, dnu[a], de[b_])
-            III[..., a, b_] = _bdot(sigma, dnu[a], dnu[b_])
+            if a <= b_:  # I and III are symmetric
+                I[..., a, b_] = I[..., b_, a] = _bdot(sigma, de[a], de[b_])
+                III[..., a, b_] = III[..., b_, a] = _bdot(sigma, dnu[a], dnu[b_])
     return _assemble_forms(patch.x1, patch.x2, I, II, III)
 
 
@@ -315,18 +342,14 @@ def _brioschi(E, F, G, h1, h2):
     Evv = d2(Ev)
     Guu = d1(Gu)
     Fuv = d2(Fu)
-    M1 = np.stack([
-        np.stack([-0.5 * Evv + Fuv - 0.5 * Guu, 0.5 * Eu, Fu - 0.5 * Ev], axis=-1),
-        np.stack([Fv - 0.5 * Gu, E, F], axis=-1),
-        np.stack([0.5 * Gv, F, G], axis=-1),
-    ], axis=-2)
-    M2 = np.stack([
-        np.stack([np.zeros_like(E), 0.5 * Ev, 0.5 * Gu], axis=-1),
-        np.stack([0.5 * Ev, E, F], axis=-1),
-        np.stack([0.5 * Gu, F, G], axis=-1),
-    ], axis=-2)
+    M1 = ((-0.5 * Evv + Fuv - 0.5 * Guu, 0.5 * Eu, Fu - 0.5 * Ev),
+          (Fv - 0.5 * Gu, E, F),
+          (0.5 * Gv, F, G))
+    M2 = ((0.0, 0.5 * Ev, 0.5 * Gu),
+          (0.5 * Ev, E, F),
+          (0.5 * Gu, F, G))
     det_h = E * G - F * F
-    return np.linalg.det(M1) - np.linalg.det(M2), det_h
+    return _det3(M1) - _det3(M2), det_h
 
 
 def flat_metric(patch, k, sign, tol=1e-4):

@@ -49,10 +49,20 @@ FORMAT_VERSION = "bileg/1"
 CURVE_KINDS = ("fourier", "samples", "latitude", "great_circle")
 _NAMED_AXES = {"i": (1.0, 0.0, 0.0), "j": (0.0, 1.0, 0.0), "k": (0.0, 0.0, 1.0)}
 _VECTOR_OPTIONS = ("--axis", "--start", "--pole")
+# largest curve sample count, and grid node count, that a file may ask for;
+# checked before anything of that size is allocated
+_MAX_COUNT = 1 << 20
 
 
 def _fmt(x):
     return format(float(x), ".17g")
+
+
+def _format_rows(row_format, rows):
+    """One line of row_format per row of a 2-d array, in a single %-format;
+    "%.17g" % x spells x exactly as _fmt(x) does."""
+    rows = np.asarray(rows)
+    return (row_format + "\n") * len(rows) % tuple(rows.ravel().tolist())
 
 
 def _require(cond, message):
@@ -90,6 +100,16 @@ def _float_list(value, name, length):
         return [float(v) for v in value]
     except (TypeError, ValueError):
         raise ValidationError(f"{name} must be a list of {length} numbers") from None
+
+
+def _count(value, name, low, high=_MAX_COUNT):
+    """An integer size read from a file, required to lie in [low, high]."""
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
+    _require(low <= n <= high, f"{name} must lie between {low} and {high}, got {n}")
+    return n
 
 
 def _parse_axis(text):
@@ -159,12 +179,11 @@ class CurveSpec:
             _require(self.closed, "latitude curves are closed")
             colat = self.payload.get("colatitude")
             _require(colat is not None, "latitude payload needs a colatitude")
-            n = int(self.payload.get("samples", 1024))
+            n = _count(self.payload.get("samples", 1024), "samples", 2)
             return sphere.latitude_circle(axis, float(colat), n=n)
         if self.kind == "great_circle":
             _require(self.closed, "great_circle curves are closed")
-            n = int(self.payload.get("samples", 4096))
-            _require(n >= 8, "need at least 8 samples")
+            n = _count(self.payload.get("samples", 4096), "samples", 8)
             if n % 2 == 1:
                 n += 1  # an odd count puts a node antipodal to the start; the area fan degenerates there
             ref = np.zeros(3)
@@ -183,7 +202,7 @@ class CurveSpec:
                          for c in self.payload.get("cos", [])]
             sin_terms = [np.asarray(_float_list(s, "sin term", 3))
                          for s in self.payload.get("sin", [])]
-            n = int(self.payload.get("samples", 2048))
+            n = _count(self.payload.get("samples", 2048), "samples", 2)
             t = np.linspace(0.0, 2.0 * math.pi, n)
             v = np.broadcast_to(mean, (n, 3)).copy()
             for m, c in enumerate(cos_terms, start=1):
@@ -300,10 +319,8 @@ def cmd_lift(args):
         start = sphere.hopf_preimage(axis, unit.samples[0], args.side)
     lift = sphere.horizontal_lift(unit, axis, args.side, start, step=args.step)
     if args.out:
-        rows = ["t,q0,q1,q2,q3"]
-        for t, q in zip(lift.params, lift.samples):
-            rows.append(",".join([_fmt(t)] + [_fmt(v) for v in q]))
-        _atomic_write(args.out, "\n".join(rows) + "\n")
+        table = np.column_stack([lift.params, lift.samples])
+        _atomic_write(args.out, "t,q0,q1,q2,q3\n" + _format_rows(",".join(["%.17g"] * 5), table))
     print(f"lifted {len(lift.params)} samples on the {lift.side} side, "
           f"(b/4)-length {_fmt(unit.b4_length)}")
     print(f"horizontality residual: {lift.horizontality_residual:.3e}")
@@ -375,8 +392,8 @@ def cmd_construct(args):
     gamma2, dgamma2 = _decode_factor(data.get("gamma2"), "gamma2")
     r1 = _float_list(data.get("t1_range"), "t1_range", 2)
     r2 = _float_list(data.get("t2_range"), "t2_range", 2)
-    n1, n2 = int(data.get("n1", 0)), int(data.get("n2", 0))
-    _require(n1 >= 2 and n2 >= 2, "n1 and n2 must be at least 2")
+    n1, n2 = _count(data.get("n1", 0), "n1", 2), _count(data.get("n2", 0), "n2", 2)
+    _require(n1 * n2 <= _MAX_COUNT, f"n1 * n2 must be at most {_MAX_COUNT}, got {n1 * n2}")
     x1 = np.linspace(r1[0], r1[1], n1)
     x2 = np.linspace(r2[0], r2[1], n2)
     grid = factory.construct(a, b, gamma1, gamma2, x1, x2,
@@ -433,11 +450,9 @@ def cmd_verify(args):
 def cmd_angle(args):
     grid, _ = read_surface(args.inp)
     data = factory.angle_function(grid)
-    rows = ["x1,x2,theta"]
-    for i, t1 in enumerate(grid.x1):
-        for j, t2 in enumerate(grid.x2):
-            rows.append(f"{_fmt(t1)},{_fmt(t2)},{_fmt(data.theta[i, j])}")
-    _atomic_write(args.out, "\n".join(rows) + "\n")
+    x1, x2 = np.meshgrid(grid.x1, grid.x2, indexing="ij")
+    table = np.stack([x1, x2, data.theta], axis=-1).reshape(-1, 3)
+    _atomic_write(args.out, "x1,x2,theta\n" + _format_rows("%.17g,%.17g,%.17g", table))
     print(f"theta0: {_fmt(data.theta0)}")
     print(f"exp(i theta0): {_fmt(math.cos(data.theta0))}, {_fmt(math.sin(data.theta0))}")
     print(f"wave residual: {data.wave_residual:.3e}")
@@ -469,16 +484,14 @@ def cmd_export(args):
                       quat.mul(pole, quat.QK)])
     denom = 1.0 - body @ pole
     verts = (body @ frame.T) / denom[:, None]
-    lines = [f"v {_fmt(v[0])} {_fmt(v[1])} {_fmt(v[2])}" for v in verts]
-    for i in range(n1 - 1):
-        for j in range(n2 - 1):
-            v00 = (i % m1) * m2 + (j % m2)
-            v10 = ((i + 1) % m1) * m2 + (j % m2)
-            v01 = (i % m1) * m2 + ((j + 1) % m2)
-            v11 = ((i + 1) % m1) * m2 + ((j + 1) % m2)
-            lines.append(f"f {v00 + 1} {v10 + 1} {v11 + 1}")
-            lines.append(f"f {v00 + 1} {v11 + 1} {v01 + 1}")
-    _atomic_write(args.out, "\n".join(lines) + "\n")
+    # 1-based vertex numbers of the cell corners; index n - 1 wraps onto 0 when welded
+    i = (np.arange(n1) % m1)[:, None] * m2
+    j = (np.arange(n2) % m2)[None, :] + 1
+    v00, v10 = i[:-1] + j[:, :-1], i[1:] + j[:, :-1]
+    v01, v11 = i[:-1] + j[:, 1:], i[1:] + j[:, 1:]
+    faces = np.stack([v00, v10, v11, v00, v11, v01], axis=-1).reshape(-1, 3)
+    _atomic_write(args.out, _format_rows("v %.17g %.17g %.17g", verts)
+                  + _format_rows("f %d %d %d", faces))
     n_faces = 2 * (n1 - 1) * (n2 - 1)
     closed = "closed" if wrap1 and wrap2 else "open"
     print(f"exported {len(verts)} vertices, {n_faces} faces ({closed} grid) -> {args.out}")

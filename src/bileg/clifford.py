@@ -153,7 +153,7 @@ def basis(sig):
 
 
 def _check_sig(x, y):
-    if x.sig != y.sig:
+    if x.sig is not y.sig and x.sig != y.sig:
         raise ValidationError("signature mismatch")
 
 
@@ -186,7 +186,9 @@ def apply_involution(x, kind):
 def inner_g(x, y):
     """g(x, y) = R(x * conj(y))."""
     _check_sig(x, y)
-    return mul(x, y.conjugation()).a
+    s1, s2 = x.sig.s1, x.sig.s2
+    # the real part of mul(x, y.conjugation()), term for term
+    return x.a * y.a - s1 * x.b * -y.b - s2 * x.c * -y.c - s1 * s2 * x.d * -y.d
 
 
 def inner_ghat(x, y):
@@ -224,8 +226,13 @@ def ghat_matrix(sig):
 
 def mx_matrix(x):
     """Left multiplication by x as a 4x4 matrix on coefficient space."""
-    cols = [mul(x, e).coeffs for e in basis(x.sig)]
-    return np.column_stack(cols)
+    s1, s2 = x.sig.s1, x.sig.s2
+    a, b, c, d = x.a, x.b, x.c, x.d
+    # column k is the product table's x * e_k for the basis (1, i, j, k)
+    return np.array([[a, -s1 * b, -s2 * c, -s1 * s2 * d],
+                     [b, a, -s2 * d, s2 * c],
+                     [c, s1 * d, a, -s1 * b],
+                     [d, -c, b, a]])
 
 
 @dataclass(frozen=True)

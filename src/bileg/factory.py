@@ -19,8 +19,21 @@ the Gauss map factorization, and the flat-torus criteria.
 
 Grids are indexed X[i, j] with i along x1 and j along x2.  Quaternions are
 rows (w, x, y, z).
+
+The whole-grid verifiers (`residual_suite`, `angle_function`) form their
+partials once per call and then evaluate every per-node quantity over row
+blocks of about `_BLOCK_NODES` = 16384 nodes (512 KiB per quaternion
+block).  Whole 385^2 grids (4.7 MB each) would stream some 40 full-size
+temporaries through memory, while much smaller blocks pay numpy's per-call
+cost too often; on a host with a 2 MiB L2 cache, 4096, 8192, 16384 and
+32768 nodes per block ran the verifiers at 97^2, 193^2 and 385^2 nodes
+fastest at 16384.  Inner products over the 4 quaternion components are
+written out as one ordered sum of products: about a quarter of the cost of
+a sum over a trailing axis of length 4, and bit-identical to it up to the
+sign of an exact zero.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -48,8 +61,31 @@ EPS1 = 1.0
 EPS2 = -1.0
 
 
+# nodes per row block of the per-node verifier work; see the module docstring
+_BLOCK_NODES = 16384
+
+
 def _bdot(p, q):
-    return np.sum(p * q, axis=-1)
+    # the four products summed in order: as fast as an einsum contraction and,
+    # unlike it, bit-identical to np.sum(p * q, axis=-1) (up to the sign of an
+    # exact zero), so no output moves
+    return (p[..., 0] * q[..., 0] + p[..., 1] * q[..., 1]
+            + p[..., 2] * q[..., 2] + p[..., 3] * q[..., 3])
+
+
+def _norm(q):
+    return np.sqrt(_bdot(q, q))
+
+
+def _worst(*grids):
+    """Largest |entry| over the grids; NaN as soon as one entry is NaN."""
+    return functools.reduce(np.maximum, [np.abs(g).max() for g in grids])
+
+
+def _row_blocks(n1, n2):
+    """Slices of consecutive rows holding about _BLOCK_NODES nodes each."""
+    rows = max(1, _BLOCK_NODES // n2)
+    return [slice(i, min(i + rows, n1)) for i in range(0, n1, rows)]
 
 
 def _vec(q):
@@ -60,6 +96,7 @@ def _as_unit_quat(value, name):
     arr = np.asarray(value, dtype=float)
     if arr.shape != (4,):
         raise ValidationError(f"{name} must be a quaternion 4-array, got shape {arr.shape}")
+    _require_finite(name, arr, nodes=1)
     if abs(np.linalg.norm(arr) - 1.0) > 1e-9:
         raise PreconditionError(f"{name} must be a unit quaternion")
     return arr
@@ -153,10 +190,7 @@ class ImmersionGrid:
         if X.shape != shape or Y.shape != shape:
             raise ValidationError(f"X and Y must have shape {shape}")
         _require_finite("X and Y", X, Y)
-        unit = max(
-            float(np.abs(np.linalg.norm(X, axis=-1) - 1.0).max()),
-            float(np.abs(np.linalg.norm(Y, axis=-1) - 1.0).max()),
-        )
+        unit = float(_worst(_norm(X) - 1.0, _norm(Y) - 1.0))
         if unit > 1e-9:
             raise ValidationError(f"X and Y must be unit grids, worst deviation {unit:.3e}")
         ortho = float(np.abs(_bdot(X, Y)).max())
@@ -197,6 +231,23 @@ def _partials(grid):
     h2 = _uniform_step(grid.x2, "x2")
     return (_d_uniform(grid.X, h1, 0), _d_uniform(grid.X, h2, 1),
             _d_uniform(grid.Y, h1, 0), _d_uniform(grid.Y, h2, 1))
+
+
+def _axis_tangent(grid, index, i0, j0):
+    """d1X on the column j0 (index 1) or d2X on the row i0 (index 2), the same
+    values `_partials` gives there, without forming the whole grids."""
+    f = grid.factors
+    if f is not None and f.dgamma1 is not None and f.dgamma2 is not None:
+        if index == 1:
+            G2 = _eval_curve(f.gamma2, grid.x2)
+            return _product(G2[j0:j0 + 1], f.a, f.velocity1(grid.x1))[:, 0]
+        G1 = _eval_curve(f.gamma1, grid.x1)
+        return _product(f.velocity2(grid.x2), f.a, G1[i0:i0 + 1])[0]
+    h1 = _uniform_step(grid.x1, "x1")
+    h2 = _uniform_step(grid.x2, "x2")
+    if index == 1:
+        return _d_uniform(grid.X[:, j0], h1, 0)
+    return _d_uniform(grid.X[i0, :], h2, 0)
 
 
 def _second_partials(grid, parts):
@@ -260,8 +311,8 @@ def construct(a, b, gamma1, gamma2, x1, x2, dgamma1=None, dgamma2=None,
             horiz = float(np.abs(_bdot(dG, quat.mul(axis, G))).max())
         else:
             horiz = float(np.abs(_bdot(dG, quat.mul(G, axis))).max())
-        speed = float(np.abs(np.linalg.norm(dG, axis=-1) - 1.0).max())
-        if horiz > tol or speed > tol:
+        speed = float(np.abs(_norm(dG) - 1.0).max())
+        if not (horiz <= tol and speed <= tol):
             raise PreconditionError(
                 f"gamma{index} must be {side} horizontal and arc-length parametrized; "
                 f"horizontality residual {horiz:.3e}, speed residual {speed:.3e}"
@@ -271,9 +322,8 @@ def construct(a, b, gamma1, gamma2, x1, x2, dgamma1=None, dgamma2=None,
     G2 = _eval_curve(factors.gamma2, x2)
     X = _product(G2, factors.a, G1)
     Y = _product(G2, factors.b, G1)
-    norms = np.linalg.norm(X, axis=-1)
-    X = X / norms[..., None]
-    Y = Y / np.linalg.norm(Y, axis=-1)[..., None]
+    X = X / _norm(X)[..., None]
+    Y = Y / _norm(Y)[..., None]
     return ImmersionGrid(x1, x2, X, Y, factors=factors)
 
 
@@ -287,7 +337,7 @@ def _split(origin, *grids):
     consts = [g[i0, j0] for g in grids]
     A = quat.mul(quat.conj(consts[0]), grids[0][:, j0])
     B = quat.mul(grids[0][i0, :], quat.conj(consts[0]))
-    residual = max(float(np.linalg.norm(g - _product(B, c, A), axis=-1).max())
+    residual = max(float(_norm(g - _product(B, c, A)).max())
                    for g, c in zip(grids, consts))
     return consts, A, B, residual
 
@@ -337,8 +387,7 @@ def _product_criterion(M, d1M, d2M, h1, h2):
     """Worst |d2(conj(M) d1M)| and |d1((d2M) conj(M))|; both vanish on a product."""
     U = quat.mul(quat.conj(M), d1M)
     V = quat.mul(d2M, quat.conj(M))
-    return max(float(np.linalg.norm(_d_uniform(U, h2, 1), axis=-1).max()),
-               float(np.linalg.norm(_d_uniform(V, h1, 0), axis=-1).max()))
+    return float(_worst(_norm(_d_uniform(U, h2, 1)), _norm(_d_uniform(V, h1, 0))))
 
 
 def lie_factorize(x1, x2, M, tol=1e-6):
@@ -356,7 +405,7 @@ def lie_factorize(x1, x2, M, tol=1e-6):
     if M.shape != (len(x1), len(x2), 4):
         raise ValidationError(f"M must have shape {(len(x1), len(x2), 4)}")
     _require_finite("M", M)
-    norms = np.linalg.norm(M, axis=-1)
+    norms = _norm(M)
     if np.abs(norms - 1.0).max() > 1e-6:
         raise ValidationError("M must consist of unit quaternions")
     M = M / norms[..., None]
@@ -383,61 +432,53 @@ def residual_suite(grid):
     pullbacks, flatness of the pulled-back fiber metric 2(dx1^2 + dx2^2),
     unit speed along both axes, the two normal transport identities, the
     product criterion, and the structural entries of the cubic forms.
-    Returns a dict of named maxima.
+    Returns a dict of named maxima; a NaN anywhere makes its entry NaN.
     """
     X, Y = grid.X, grid.Y
-    d1X, d2X, d1Y, d2Y = parts = _partials(grid)
-    out = {
-        "tangency_dX_X": float(max(np.abs(_bdot(d1X, X)).max(), np.abs(_bdot(d2X, X)).max())),
-        "tangency_dX_Y": float(max(np.abs(_bdot(d1X, Y)).max(), np.abs(_bdot(d2X, Y)).max())),
-        "tangency_dY_X": float(max(np.abs(_bdot(d1Y, X)).max(), np.abs(_bdot(d2Y, X)).max())),
-        "tangency_dY_Y": float(max(np.abs(_bdot(d1Y, Y)).max(), np.abs(_bdot(d2Y, Y)).max())),
-    }
-    out["omega_i"] = float(np.abs(_bdot(d1X, d2Y) - _bdot(d1Y, d2X)).max())
-    Ad2X = _apply_A(X, Y, d2X)
-    Ad2Y = _apply_A(X, Y, d2Y)
-    out["omega_k"] = float(np.abs(_bdot(d1X, Ad2X) + _bdot(d1Y, Ad2Y)).max())
-    g11 = _bdot(d1X, d1X) + _bdot(d1Y, d1Y)
-    g22 = _bdot(d2X, d2X) + _bdot(d2Y, d2Y)
-    g12 = _bdot(d1X, d2X) + _bdot(d1Y, d2Y)
-    out["flat_metric"] = float(
-        max(np.abs(g11 - 2.0).max(), np.abs(g22 - 2.0).max(), np.abs(g12).max())
-    )
-    out["unit_speed"] = float(
-        max(
-            np.abs(_bdot(d1X, d1X) - 1.0).max(),
-            np.abs(_bdot(d2X, d2X) - 1.0).max(),
-            np.abs(_bdot(d1Y, d1Y) - 1.0).max(),
-            np.abs(_bdot(d2Y, d2Y) - 1.0).max(),
-        )
-    )
-    # d1(Y conj(X)) = 0 and d2(conj(X) Y) = 0: the normal is transported
-    left = quat.mul(d1Y, quat.conj(X)) + quat.mul(Y, quat.conj(d1X))
-    right = quat.mul(quat.conj(d2X), Y) + quat.mul(quat.conj(X), d2Y)
-    out["normal_transport"] = float(
-        max(np.linalg.norm(left, axis=-1).max(), np.linalg.norm(right, axis=-1).max())
-    )
+    parts = _partials(grid)
     h1 = _uniform_step(grid.x1, "x1")
     h2 = _uniform_step(grid.x2, "x2")
-    out["product_criterion"] = _product_criterion(X, d1X, d2X, h1, h2)
+    criterion = _product_criterion(X, parts[0], parts[1], h1, h2)
     sec = _second_partials(grid, parts)
-    out["cubic_122"] = float(np.abs(_cubic(sec, parts, "122")).max())
-    out["cubic_211"] = float(np.abs(_cubic(sec, parts, "211")).max())
-    out["cubic_hat"] = float(np.max([np.abs(_cubic(sec, parts, lead + diag + diag, hat=True)).max()
-                                     for lead in "12" for diag in "12"]))
-    return out
+    worst = {}
+    for rows in _row_blocks(*X.shape[:2]):
+        x, y = X[rows], Y[rows]
+        d1x, d2x, d1y, d2y = block = [p[rows] for p in parts]
+        g11x, g22x = _bdot(d1x, d1x), _bdot(d2x, d2x)
+        g11y, g22y = _bdot(d1y, d1y), _bdot(d2y, d2y)
+        # d1(Y conj(X)) = 0 and d2(conj(X) Y) = 0: the normal is transported
+        left = quat.mul(d1y, quat.conj(x)) + quat.mul(y, quat.conj(d1x))
+        right = quat.mul(quat.conj(d2x), y) + quat.mul(quat.conj(x), d2y)
+        sec_block = {k: v[rows] for k, v in sec.items()}
+        cubic = {uvw: _cubic(sec_block, block, uvw) for uvw in ("111", "122", "211", "222")}
+        found = {
+            "tangency_dX_X": _worst(_bdot(d1x, x), _bdot(d2x, x)),
+            "tangency_dX_Y": _worst(_bdot(d1x, y), _bdot(d2x, y)),
+            "tangency_dY_X": _worst(_bdot(d1y, x), _bdot(d2y, x)),
+            "tangency_dY_Y": _worst(_bdot(d1y, y), _bdot(d2y, y)),
+            "omega_i": _worst(_bdot(d1x, d2y) - _bdot(d1y, d2x)),
+            "omega_k": _worst(_bdot(d1x, _apply_A(x, y, d2x)) + _bdot(d1y, _apply_A(x, y, d2y))),
+            "flat_metric": _worst(g11x + g11y - 2.0, g22x + g22y - 2.0,
+                                  _bdot(d1x, d2x) + _bdot(d1y, d2y)),
+            "unit_speed": _worst(g11x - 1.0, g22x - 1.0, g11y - 1.0, g22y - 1.0),
+            "normal_transport": _worst(_norm(left), _norm(right)),
+            "product_criterion": criterion,  # whole-grid: it differentiates along both axes
+            "cubic_122": _worst(cubic["122"][0] - cubic["122"][1]),
+            "cubic_211": _worst(cubic["211"][0] - cubic["211"][1]),
+            "cubic_hat": _worst(*(first + second for first, second in cubic.values())),
+        }
+        for name, value in found.items():
+            worst[name] = np.maximum(worst.get(name, value), value)
+    return {name: float(value) for name, value in worst.items()}
 
 
-def _cubic(sec, parts, uvw, hat=False):
-    """Entry uvw (e.g. "122") of C(u, v, w) = b(du dv X, dw Y) - b(du dv Y, dw X),
-    or with hat of the conjugate form -(b(du dv X, dw Y) + b(du dv Y, dw X))."""
+def _cubic(sec, parts, uvw):
+    """Terms (b(du dv X, dw Y), b(du dv Y, dw X)) of the entry uvw (e.g. "122"):
+    the cubic form is C(u, v, w) = first - second, its conjugate -(first + second)."""
     u, v, w = uvw
     pair = min(u, v) + max(u, v)
     k = int(w) - 1
-    dX, dY = parts[k], parts[k + 2]
-    if hat:
-        return -(_bdot(sec[pair + "X"], dY) + _bdot(sec[pair + "Y"], dX))
-    return _bdot(sec[pair + "X"], dY) - _bdot(sec[pair + "Y"], dX)
+    return _bdot(sec[pair + "X"], parts[k + 2]), _bdot(sec[pair + "Y"], parts[k])
 
 
 def cubic_form_entries(grid):
@@ -449,10 +490,13 @@ def cubic_form_entries(grid):
     """
     parts = _partials(grid)
     sec = _second_partials(grid, parts)
-    out = {"C" + u + v + w: _cubic(sec, parts, u + v + w)
-           for u in "12" for v in "12" for w in "12"}
-    out.update({"Chat" + lead + diag + diag: _cubic(sec, parts, lead + diag + diag, hat=True)
-                for lead in "12" for diag in "12"})
+    out = {}
+    for uvw in (u + v + w for u in "12" for v in "12" for w in "12"):
+        first, second = _cubic(sec, parts, uvw)
+        out["C" + uvw] = first - second
+    for uvw in (lead + diag + diag for lead in "12" for diag in "12"):
+        first, second = _cubic(sec, parts, uvw)
+        out["Chat" + uvw] = -(first + second)
     return out
 
 
@@ -486,8 +530,8 @@ def _propagate_sign(raw, i0, j0):
     n1, n2 = raw.shape[:2]
     sign = np.ones((n1, n2))
     row = raw[:, j0]
-    rowdots = np.sum(row[1:] * row[:-1], axis=-1)
-    coldots = np.sum(raw[:, 1:] * raw[:, :-1], axis=-1)
+    rowdots = _bdot(row[1:], row[:-1])
+    coldots = _bdot(raw[:, 1:], raw[:, :-1])
     worst = min(
         float(np.abs(rowdots).min()) if len(rowdots) else 1.0,
         float(np.abs(coldots).min()) if coldots.size else 1.0,
@@ -509,6 +553,18 @@ def _propagate_sign(raw, i0, j0):
     return sign
 
 
+_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+
+
+def _det4(a, b, c, d):
+    """Determinant of the 4x4 matrices with columns a, b, c, d, by Laplace
+    expansion along the first two columns: 2x2 minors of (a, b) times the
+    complementary minors of (c, d)."""
+    m = [a[..., i] * b[..., j] - a[..., j] * b[..., i] for i, j in _PAIRS]
+    n = [c[..., i] * d[..., j] - c[..., j] * d[..., i] for i, j in _PAIRS]
+    return m[0] * n[5] - m[1] * n[4] + m[2] * n[3] + m[3] * n[2] - m[4] * n[1] + m[5] * n[0]
+
+
 def angle_function(grid):
     """Extract the angle function theta of the immersion.
 
@@ -519,43 +575,51 @@ def angle_function(grid):
     along every column.
     """
     i0, j0 = grid.origin()
-    d1X, d2X, d1Y, d2Y = _partials(grid)
-    U = 0.5 * (d1X + d2X)
-    V = 0.5 * (d1Y + d2Y)
-    nu = np.linalg.norm(U, axis=-1)
-    nv = np.linalg.norm(V, axis=-1)
-    if np.any(np.maximum(nu, nv) < 1e-8):
-        raise PreconditionError("angle frame undefined: both derivative components vanish")
-    pick = nu >= nv
-    raw = np.where(
-        pick[..., None],
-        U / np.maximum(nu, 1e-300)[..., None],
-        V / np.maximum(nv, 1e-300)[..., None],
-    )
+    X, Y = grid.X, grid.Y
+    parts = _partials(grid)
+    blocks = _row_blocks(*X.shape[:2])
 
+    def halves(rows):
+        d1x, d2x, d1y, d2y = block = [p[rows] for p in parts]
+        return block, 0.5 * (d1x + d2x), 0.5 * (d1y + d2y)
+
+    raw = np.empty_like(X)
+    for rows in blocks:
+        _, U, V = halves(rows)
+        nu, nv = _norm(U), _norm(V)
+        if np.any(np.maximum(nu, nv) < 1e-8):
+            raise PreconditionError("angle frame undefined: both derivative components vanish")
+        raw[rows] = np.where(
+            (nu >= nv)[..., None],
+            U / np.maximum(nu, 1e-300)[..., None],
+            V / np.maximum(nv, 1e-300)[..., None],
+        )
     sign = _propagate_sign(raw, i0, j0)
-    e1 = sign[..., None] * raw
-    c = _bdot(U, e1)
-    s = _bdot(V, e1)
-    theta = np.arctan2(s, c)
+
+    # theta before unwrapping differs from it by multiples of 2 pi, so the
+    # frame is rebuilt from it in the same pass
+    theta = np.empty(X.shape[:2])
+    frame_residual = 0.0
+    for rows in blocks:
+        (d1x, d2x, d1y, d2y), U, V = halves(rows)
+        x, y = X[rows], Y[rows]
+        e1 = sign[rows, :, None] * raw[rows]
+        th = theta[rows] = np.arctan2(_bdot(V, e1), _bdot(U, e1))
+        e2 = _apply_A(x, y, e1)
+        cs, sn = np.cos(th)[..., None], np.sin(th)[..., None]
+        frame_residual = np.maximum(frame_residual, _worst(
+            _norm(d1x - (cs * e1 - sn * e2)),
+            _norm(d1y - (sn * e1 + cs * e2)),
+            _norm(d2x - (cs * e1 + sn * e2)),
+            _norm(d2y - (sn * e1 - cs * e2)),
+            _det4(x, e1, e2, y) - 1.0,
+        ))
 
     row = theta[:, j0].copy()
     theta[i0:, j0] = np.unwrap(row[i0:])
     theta[i0::-1, j0] = np.unwrap(row[i0::-1])
     theta[:, j0:] = np.unwrap(theta[:, j0:], axis=1)
     theta[:, j0::-1] = np.unwrap(theta[:, j0::-1], axis=1)
-
-    e2 = _apply_A(grid.X, grid.Y, e1)
-    cs, sn = np.cos(theta)[..., None], np.sin(theta)[..., None]
-    recon = max(
-        float(np.linalg.norm(d1X - (cs * e1 - sn * e2), axis=-1).max()),
-        float(np.linalg.norm(d1Y - (sn * e1 + cs * e2), axis=-1).max()),
-        float(np.linalg.norm(d2X - (cs * e1 + sn * e2), axis=-1).max()),
-        float(np.linalg.norm(d2Y - (sn * e1 - cs * e2), axis=-1).max()),
-    )
-    framed = np.stack([grid.X, e1, e2, grid.Y], axis=-1)
-    det = np.linalg.det(framed)
-    frame_residual = max(recon, float(np.abs(det - 1.0).max()))
 
     h1 = _uniform_step(grid.x1, "x1")
     h2 = _uniform_step(grid.x2, "x2")
@@ -574,10 +638,10 @@ def angle_function(grid):
         theta1=theta1,
         theta2=theta2,
         dtheta1=d1theta[:, j0],
-        dtheta2=_d_uniform(theta, h2, 1)[i0, :],
+        dtheta2=_d_uniform(theta[i0], h2, 0),
         wave_residual=wave,
         split_residual=split,
-        frame_residual=frame_residual,
+        frame_residual=float(frame_residual),
     )
 
 
@@ -617,18 +681,16 @@ def asymptotic_frame(grid, index, angle=None, tol=1e-6):
     if angle is None:
         angle = angle_function(grid)
     i0, j0 = grid.origin()
-    d1X, d2X, _, _ = _partials(grid)
+    T = _axis_tangent(grid, index, i0, j0)
     if index == 1:
         t = grid.x1
         gam = grid.X[:, j0]
-        T = d1X[:, j0]
         B = grid.Y[:, j0]
         eps = EPS1
         dtheta = angle.dtheta1
     else:
         t = grid.x2
         gam = grid.X[i0, :]
-        T = d2X[i0, :]
         B = grid.Y[i0, :]
         eps = EPS2
         dtheta = angle.dtheta2

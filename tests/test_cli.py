@@ -129,6 +129,20 @@ class TestArea:
         assert cli.main(["area", "--curve", spec]) == 0
         capsys.readouterr()
 
+    @pytest.mark.parametrize("kind, payload", [
+        ("latitude", {"colatitude": 1.0}),
+        ("great_circle", {}),
+        ("fourier", {"mean": [0, 0, 1], "cos": [[0.2, 0, 0]]}),
+    ])
+    @pytest.mark.parametrize("samples", [10**15, float("inf"), None])
+    def test_sample_counts_are_bounded(self, tmp_path, capsys, kind, payload, samples):
+        # rejected before anything of that size is allocated
+        spec = _write_json(tmp_path / "huge.json", {
+            "version": "bileg/1", "kind": kind, "axis": [0, 0, 1], "closed": True,
+            "payload": dict(payload, samples=samples)})
+        assert cli.main(["area", "--curve", spec]) == 2
+        assert "samples must" in capsys.readouterr().err
+
     def test_unknown_kind_exits_2(self, tmp_path, capsys):
         spec = _write_json(tmp_path / "odd.json", {
             "version": "bileg/1", "kind": "spiral", "axis": [0, 0, 1],
@@ -161,6 +175,15 @@ class TestConstructVerify:
         assert cli.main(["construct", "--spec", path,
                          "--out", str(tmp_path / "s.json")]) == 3
         assert "horizontal" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n1, n2", [(10**15, 81), (81, float("inf")), (1025, 1025)])
+    def test_grid_sizes_are_bounded(self, tmp_path, capsys, n1, n2):
+        spec = json.loads(open(_clifford_spec(tmp_path)).read())
+        spec.update(n1=n1, n2=n2)
+        path = _write_json(tmp_path / "huge.json", spec)
+        assert cli.main(["construct", "--spec", path, "--out", str(tmp_path / "s.json")]) == 2
+        err = capsys.readouterr().err
+        assert "n1" in err or "n2" in err
 
     def test_factorize_round_trip(self, tmp_path, capsys):
         spec = _clifford_spec(tmp_path)
@@ -343,6 +366,89 @@ class TestExport:
         assert cli.main(["export", "--in", str(surface), "--pole", "1,0,0,0",
                          "--out", str(tmp_path / "bad.obj")]) == 3
         assert "pole" in capsys.readouterr().err
+
+
+def _fmt17(x):
+    return format(float(x), ".17g")
+
+
+def _recorded(monkeypatch, module, name):
+    """Wrap module.name so the returned values are kept in a list."""
+    seen = []
+    fn = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        seen.append(fn(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(module, name, wrapper)
+    return seen
+
+
+class TestWriterBytes:
+    """CSV and OBJ writers against a node-by-node reference formatter."""
+
+    def test_lift_csv(self, tmp_path, monkeypatch, capsys):
+        lifts = _recorded(monkeypatch, cli.sphere, "horizontal_lift")
+        out_csv = tmp_path / "lift.csv"
+        spec = _great_circle_spec(tmp_path, samples=512)
+        assert cli.main(["lift", "--curve", spec, "--out", str(out_csv)]) == 0
+        capsys.readouterr()
+        lift = lifts[-1]
+        rows = ["t,q0,q1,q2,q3"] + [",".join([_fmt17(t)] + [_fmt17(v) for v in q])
+                                    for t, q in zip(lift.params, lift.samples)]
+        assert out_csv.read_bytes() == ("\n".join(rows) + "\n").encode()
+
+    def test_angle_csv(self, tmp_path, monkeypatch, capsys):
+        angles = _recorded(monkeypatch, cli.factory, "angle_function")
+        spec = _clifford_spec(tmp_path, n=21)
+        surface = tmp_path / "surface.json"
+        theta_csv = tmp_path / "theta.csv"
+        assert cli.main(["construct", "--spec", spec, "--out", str(surface)]) == 0
+        assert cli.main(["angle", "--in", str(surface), "--out", str(theta_csv)]) == 0
+        capsys.readouterr()
+        theta = angles[-1].theta
+        grid, _ = cli.read_surface(str(surface))
+        rows = ["x1,x2,theta"] + [f"{_fmt17(t1)},{_fmt17(t2)},{_fmt17(theta[i, j])}"
+                                  for i, t1 in enumerate(grid.x1)
+                                  for j, t2 in enumerate(grid.x2)]
+        assert theta_csv.read_bytes() == ("\n".join(rows) + "\n").encode()
+
+    @pytest.mark.parametrize("r1, r2", [
+        ((0.0, 2 * math.pi), (0.0, 2 * math.pi)),  # both seams welded
+        ((0.0, 2 * math.pi), (-0.4, 0.3)),         # one seam welded
+        ((-0.4, 0.3), (-0.2, 0.5)),                # an open patch
+    ])
+    def test_export_obj(self, tmp_path, capsys, r1, r2):
+        spec = json.loads(open(_clifford_spec(tmp_path, n=13)).read())
+        spec.update(n1=17, t1_range=list(r1), t2_range=list(r2))
+        surface = tmp_path / "surface.json"
+        mesh = tmp_path / "mesh.obj"
+        assert cli.main(["construct", "--spec", _write_json(tmp_path / "s.json", spec),
+                         "--out", str(surface)]) == 0
+        assert cli.main(["export", "--in", str(surface), "--pole=-0.5,0.5,0.5,-0.5",
+                         "--out", str(mesh)]) == 0
+        capsys.readouterr()
+        comp = cli.read_surface(str(surface))[0].X
+        pole = np.array([-0.5, 0.5, 0.5, -0.5])
+        n1, n2 = comp.shape[:2]
+        wrap1 = bool(np.linalg.norm(comp[-1] - comp[0], axis=-1).max() < 1e-9)
+        wrap2 = bool(np.linalg.norm(comp[:, -1] - comp[:, 0], axis=-1).max() < 1e-9)
+        m1, m2 = n1 - wrap1, n2 - wrap2
+        body = comp[:m1, :m2].reshape(-1, 4)
+        frame = np.stack([quat.mul(pole, quat.QI), quat.mul(pole, quat.QJ),
+                          quat.mul(pole, quat.QK)])
+        verts = (body @ frame.T) / (1.0 - body @ pole)[:, None]
+        lines = [f"v {_fmt17(v[0])} {_fmt17(v[1])} {_fmt17(v[2])}" for v in verts]
+        for i in range(n1 - 1):
+            for j in range(n2 - 1):
+                v00 = (i % m1) * m2 + (j % m2)
+                v10 = ((i + 1) % m1) * m2 + (j % m2)
+                v01 = (i % m1) * m2 + ((j + 1) % m2)
+                v11 = ((i + 1) % m1) * m2 + ((j + 1) % m2)
+                lines.append(f"f {v00 + 1} {v10 + 1} {v11 + 1}")
+                lines.append(f"f {v00 + 1} {v11 + 1} {v01 + 1}")
+        assert mesh.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 def test_module_entry_point(tmp_path):

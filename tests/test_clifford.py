@@ -192,6 +192,8 @@ def test_inner_products():
             y = rand_elem(rng, sig)
             np.testing.assert_allclose(inner_g(x, y), x.coeffs @ G @ y.coeffs,
                                        atol=1e-12)
+            # the closed form is the product's real part, bit for bit
+            assert inner_g(x, y) == mul(x, y.conjugation()).a
             np.testing.assert_allclose(inner_ghat(x, y),
                                        x.coeffs @ Gh @ y.coeffs, atol=1e-12)
             # trace property: R(xy) = R(yx)
@@ -224,6 +226,8 @@ def test_mx_symmetries_and_isometries():
             co = rng.standard_normal(2)
             x = from_coeffs(sig, [0.0, co[0], co[1], 0.0])
             M = mx_matrix(x)
+            # column k is the product x * e_k
+            assert np.array_equal(M, np.column_stack([mul(x, e).coeffs for e in basis(sig)]))
             np.testing.assert_allclose(G @ M + M.T @ G, np.zeros((4, 4)),
                                        atol=1e-12)
             np.testing.assert_allclose(Gh @ M - M.T @ Gh, np.zeros((4, 4)),

@@ -139,12 +139,24 @@ def test_construct_rejects_wrong_speed():
         construct(quat.ONE, quat.QK, fast, G2, x, x)
 
 
+def test_construct_rejects_non_finite_velocity():
+    # NaN residuals compare false against the tolerance and must not pass
+    nan_velocity = lambda t: np.full(np.shape(t) + (4,), np.nan)
+    x = np.linspace(-0.5, 0.5, 21)
+    with pytest.raises(PreconditionError, match="nan"):
+        construct(quat.ONE, quat.QK, G1, G2, x, x, dgamma1=nan_velocity, dgamma2=DG2)
+
+
 def test_factorization_validation():
     with pytest.raises(PreconditionError):
         Factorization(quat.ONE, quat.ONE, G1, G2)  # a, b not orthogonal
     shifted = lambda t: G1(np.asarray(t, float) + 0.3)
     with pytest.raises(PreconditionError, match="identity"):
         Factorization(quat.ONE, quat.QK, shifted, G2)
+    with pytest.raises(ValidationError, match="a must be finite, first bad index 0"):
+        Factorization([np.nan, 0.0, 0.0, 1.0], quat.QK, G1, G2)
+    with pytest.raises(ValidationError, match="b must be finite, first bad index 3"):
+        Factorization(quat.ONE, [0.0, 0.0, 0.0, np.inf], G1, G2)
 
 
 def test_immersion_grid_validation():
@@ -310,6 +322,22 @@ def test_residual_suite_flags_non_bilegendrian():
     grid = ImmersionGrid(x, x, X, quat.mul(X, quat.QK))
     res = residual_suite(grid)
     assert max(res.values()) > 0.1
+
+
+def test_residual_suite_propagates_nan():
+    # one NaN velocity sample poisons every residual that reads d2X or d2Y
+    good = _clifford_grid(n=21, half=0.5)
+    bad_node = good.x2[13]
+
+    def dgamma2(t):
+        out = DG2(t)
+        out[np.asarray(t) == bad_node] = np.nan
+        return out
+
+    factors = Factorization(quat.ONE, quat.QK, G1, G2, DG1, dgamma2)
+    grid = ImmersionGrid(good.x1, good.x2, good.X, good.Y, factors=factors)
+    res = residual_suite(grid)
+    assert all(math.isnan(value) for value in res.values()), res
 
 
 def test_residual_suite_refinement_order():
