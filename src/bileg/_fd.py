@@ -1,4 +1,4 @@
-"""Shared uniform-grid helpers: axes, finite differences, running products."""
+"""Shared array helpers: axes, finite differences, running products, 4x4 determinants."""
 
 import numpy as np
 
@@ -64,3 +64,40 @@ def prefix_products(steps, combine):
         out[k:] = combine(out[:-k], out[k:])
         k *= 2
     return out
+
+
+_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+
+
+def _components(v):
+    """The four components of a stack of 4-vectors: views of the stack, or
+    Python floats for a single vector, whose arithmetic is several times
+    cheaper than that of the 0-d arrays v[..., i] would be."""
+    v = np.asarray(v, dtype=float)
+    return v.tolist() if v.ndim == 1 else [v[..., i] for i in range(4)]
+
+
+def _minors(a, b):
+    """The six 2x2 minors a_i b_j - a_j b_i of two stacks of 4-vectors, i < j."""
+    a, b = _components(a), _components(b)
+    return [a[i] * b[j] - a[j] * b[i] for i, j in _PAIRS]
+
+
+def det4(a, b, c, d):
+    """Determinant of the 4x4 matrices with columns a, b, c, d, by Laplace
+    expansion along the first two columns: 2x2 minors of (a, b) times the
+    complementary minors of (c, d)."""
+    m = _minors(a, b)
+    n = _minors(c, d)
+    return m[0] * n[5] - m[1] * n[4] + m[2] * n[3] + m[3] * n[2] - m[4] * n[1] + m[5] * n[0]
+
+
+def cross4(a, b, c):
+    """Generalized cross product: the 4-vector w with w . d = det4(a, b, c, d)
+    for every d, i.e. w_l = eps_ijkl a_i b_j c_k; orthogonal to a, b and c."""
+    m01, m02, m03, m12, m13, m23 = _minors(a, b)
+    c0, c1, c2, c3 = _components(c)
+    return np.stack([m13 * c2 - m12 * c3 - m23 * c1,
+                     m02 * c3 - m03 * c2 + m23 * c0,
+                     m03 * c1 - m01 * c3 - m13 * c0,
+                     m01 * c2 - m02 * c1 + m12 * c0], axis=-1)

@@ -17,14 +17,13 @@ F[i, j] with i along the first parameter axis.
 """
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.interpolate import RectBivariateSpline
 
-from ._fd import axis_array, d_uniform, require_finite, uniform_step
+from ._fd import axis_array, cross4, d_uniform, require_finite, uniform_step
 from .errors import PreconditionError, ValidationError
 
 H3_SIGMA = np.array([1.0, 1.0, 1.0, -1.0])
@@ -61,21 +60,6 @@ def _det3(m):
     """Determinant of a 3x3 matrix given as rows of grids, by first-row cofactors."""
     (a, b, c), (d, e, f), (g, h, i) = m
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-
-
-def _levi_civita4():
-    eps = np.zeros((4, 4, 4, 4))
-    for perm in itertools.permutations(range(4)):
-        sign = 1.0
-        for i in range(4):
-            for j in range(i + 1, 4):
-                if perm[i] > perm[j]:
-                    sign = -sign
-        eps[perm] = sign
-    return eps
-
-
-_EPS4 = _levi_civita4()
 
 
 @dataclass
@@ -203,8 +187,7 @@ def _quarter_turn_hyperboloid(e, nu, v):
     to e, nu and v, and only sees the component of v in the plane; it is
     rescaled to an isometry there.
     """
-    c = np.einsum("abcd,...a,...b,...c->...d", _EPS4, e, nu, v)
-    w = c / H3_SIGMA
+    w = cross4(e, nu, v) / H3_SIGMA
     vp = v + _bdot(H3_SIGMA, v, e)[..., None] * e \
         - _bdot(H3_SIGMA, v, nu)[..., None] * nu
     nv = _bdot(H3_SIGMA, vp, vp)

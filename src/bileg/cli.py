@@ -36,7 +36,6 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass
-from fractions import Fraction
 from importlib import resources
 
 import numpy as np
@@ -93,23 +92,32 @@ def _dump_json(obj):
     return json.dumps(obj) + "\n"
 
 
+def _float(value, name):
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{name} must be a number, got {value!r}") from None
+
+
 def _float_list(value, name, length):
     _require(isinstance(value, (list, tuple)) and len(value) == length,
              f"{name} must be a list of {length} numbers")
+    return [_float(v, f"each entry of {name}") for v in value]
+
+
+def _float_array(value, name):
     try:
-        return [float(v) for v in value]
-    except (TypeError, ValueError):
-        raise ValidationError(f"{name} must be a list of {length} numbers") from None
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{name} must be an array of numbers") from None
 
 
 def _count(value, name, low, high=_MAX_COUNT):
-    """An integer size read from a file, required to lie in [low, high]."""
-    try:
-        n = int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
-    _require(low <= n <= high, f"{name} must lie between {low} and {high}, got {n}")
-    return n
+    """An integral number (not a bool or a string) read from a file, in [low, high]."""
+    _require(type(value) is int or isinstance(value, float) and value.is_integer(),
+             f"{name} must be an integer, got {value!r}")
+    _require(low <= value <= high, f"{name} must lie between {low} and {high}, got {value}")
+    return int(value)
 
 
 def _parse_axis(text):
@@ -180,17 +188,13 @@ class CurveSpec:
             colat = self.payload.get("colatitude")
             _require(colat is not None, "latitude payload needs a colatitude")
             n = _count(self.payload.get("samples", 1024), "samples", 2)
-            return sphere.latitude_circle(axis, float(colat), n=n)
+            return sphere.latitude_circle(axis, _float(colat, "colatitude"), n=n)
         if self.kind == "great_circle":
             _require(self.closed, "great_circle curves are closed")
             n = _count(self.payload.get("samples", 4096), "samples", 8)
             if n % 2 == 1:
                 n += 1  # an odd count puts a node antipodal to the start; the area fan degenerates there
-            ref = np.zeros(3)
-            ref[int(np.argmin(np.abs(axis)))] = 1.0
-            e1 = ref - np.dot(ref, axis) * axis
-            e1 /= np.linalg.norm(e1)
-            e2 = np.cross(axis, e1)
+            _, e2 = sphere.axis_frame(axis)
             t = np.linspace(0.0, 2.0 * math.pi, n)
             samples = np.cos(t)[:, None] * axis - np.sin(t)[:, None] * e2
             samples[-1] = samples[0]
@@ -198,10 +202,11 @@ class CurveSpec:
         if self.kind == "fourier":
             mean = np.asarray(_float_list(self.payload.get("mean", [0.0, 0.0, 0.0]),
                                           "mean", 3))
-            cos_terms = [np.asarray(_float_list(c, "cos term", 3))
-                         for c in self.payload.get("cos", [])]
-            sin_terms = [np.asarray(_float_list(s, "sin term", 3))
-                         for s in self.payload.get("sin", [])]
+            harmonics = [self.payload.get(name, []) for name in ("cos", "sin")]
+            _require(all(isinstance(h, list) for h in harmonics),
+                     "fourier cos and sin must be lists of 3-vectors")
+            cos_terms, sin_terms = ([np.asarray(_float_list(v, "harmonic", 3)) for v in h]
+                                    for h in harmonics)
             n = _count(self.payload.get("samples", 2048), "samples", 2)
             t = np.linspace(0.0, 2.0 * math.pi, n)
             v = np.broadcast_to(mean, (n, 3)).copy()
@@ -263,14 +268,14 @@ def read_surface(path):
     header = data.get("header")
     _require(isinstance(header, dict), "surface file needs a header object")
     try:
-        n1, n2 = int(header["n1"]), int(header["n2"])
+        # no cap: the X and Y shape check that follows bounds them
+        n1, n2 = (_count(header[n], n, 2, math.inf) for n in ("n1", "n2"))
         r1 = _float_list(header["t1_range"], "t1_range", 2)
         r2 = _float_list(header["t2_range"], "t2_range", 2)
     except KeyError as exc:
         raise ValidationError(f"surface header is missing {exc.args[0]!r}") from None
-    _require(n1 >= 2 and n2 >= 2, "surface grids need at least 2 samples per axis")
-    X = np.asarray(data.get("X"), dtype=float)
-    Y = np.asarray(data.get("Y"), dtype=float)
+    X = _float_array(data.get("X"), "X")
+    Y = _float_array(data.get("Y"), "Y")
     # the data present bounds the header sizes before any axis is allocated
     _require(X.shape == (n1 * n2, 4) and Y.shape == (n1 * n2, 4),
              f"X and Y must be flat lists of {n1 * n2} quaternions")
@@ -290,7 +295,7 @@ def load_tolerances(config_path=None, overrides=()):
                  "tolerance config needs a tolerances object")
         for k, v in data["tolerances"].items():
             _require(k in tols, f"unknown tolerance name {k!r}")
-            tols[k] = float(v)
+            tols[k] = _float(v, f"tolerance {k}")
     for item in overrides:
         if "=" in item:
             name, _, value = item.partition("=")
@@ -313,6 +318,9 @@ def cmd_lift(args):
     curve = spec.decode()
     axis = _parse_axis(args.axis) if args.axis else _unit3(spec.axis, "axis")
     unit = sphere.reparametrize(curve, n=max(len(curve), 4096))
+    if args.step > 0.0:  # horizontal_lift rejects every other step
+        _require(unit.b4_length / args.step <= _MAX_COUNT,
+                 f"--step {args.step} needs more than {_MAX_COUNT} steps for this curve")
     if args.start is not None:
         start = _parse_quat(args.start, "start")
     else:
@@ -340,9 +348,8 @@ def cmd_area(args):
     q = (-side_sign * area / (4.0 * math.pi)) % 1.0
     print(f"signed area mod 4pi: {_fmt(area)}")
     print(f"holonomy q mod 1 ({args.side} lift): {_fmt(q)}")
-    snap = Fraction(q).limit_denominator(24) % 1
-    gap = abs(q - float(snap))
-    if min(gap, 1.0 - gap) < 1e-6:
+    snap = factory._snap_rational(q, 24, 1e-6)
+    if snap is not None:
         print(f"q snaps to {snap.numerator}/{snap.denominator}")
     else:
         print("no rational snap with denominator <= 24")
@@ -372,8 +379,8 @@ def _decode_factor(data, name):
 
         return gamma, dgamma
     if kind == "samples":
-        t = np.asarray(data.get("t"), dtype=float)
-        pts = np.asarray(data.get("points"), dtype=float)
+        t = _float_array(data.get("t"), f"{name}.t")
+        pts = _float_array(data.get("points"), f"{name}.points")
         _require(t.ndim == 1 and pts.shape == (len(t), 4),
                  f"{name} samples need matching t and (N, 4) points")
         spl = CubicSpline(t, pts)

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._fd import det4
 from .clifford import Signature2
 from .errors import PreconditionError, ValidationError
 
@@ -198,7 +199,7 @@ def frame_at(p, eta=None):
         raise ValidationError("eta must be +1 or -1")
     u1, u2, s1p, s2p = _plane_frame(p)
     eps = s1p * s2p
-    lam = float(np.sign(np.linalg.det(np.column_stack([p.xv, u1, u2, p.yv]))))
+    lam = float(np.sign(det4(p.xv, u1, u2, p.yv)))
     B = p.form.matrix
     # A u1 = lam u2, A u2 = -lam eps u1, extended by 0 on <x, y>
     A = (np.outer(lam * u2, s1p * (B @ u1))

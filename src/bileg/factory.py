@@ -27,10 +27,7 @@ block).  Whole 385^2 grids (4.7 MB each) would stream some 40 full-size
 temporaries through memory, while much smaller blocks pay numpy's per-call
 cost too often; on a host with a 2 MiB L2 cache, 4096, 8192, 16384 and
 32768 nodes per block ran the verifiers at 97^2, 193^2 and 385^2 nodes
-fastest at 16384.  Inner products over the 4 quaternion components are
-written out as one ordered sum of products: about a quarter of the cost of
-a sum over a trailing axis of length 4, and bit-identical to it up to the
-sign of an exact zero.
+fastest at 16384.
 """
 
 import functools
@@ -44,6 +41,7 @@ from scipy.interpolate import CubicSpline
 from . import quat, sphere
 from ._fd import axis_array as _axis_array
 from ._fd import d_uniform as _d_uniform
+from ._fd import det4
 from ._fd import prefix_products as _prefix_products
 from ._fd import require_finite as _require_finite
 from ._fd import uniform_step as _uniform_step
@@ -65,18 +63,6 @@ EPS2 = -1.0
 _BLOCK_NODES = 16384
 
 
-def _bdot(p, q):
-    # the four products summed in order: as fast as an einsum contraction and,
-    # unlike it, bit-identical to np.sum(p * q, axis=-1) (up to the sign of an
-    # exact zero), so no output moves
-    return (p[..., 0] * q[..., 0] + p[..., 1] * q[..., 1]
-            + p[..., 2] * q[..., 2] + p[..., 3] * q[..., 3])
-
-
-def _norm(q):
-    return np.sqrt(_bdot(q, q))
-
-
 def _worst(*grids):
     """Largest |entry| over the grids; NaN as soon as one entry is NaN."""
     return functools.reduce(np.maximum, [np.abs(g).max() for g in grids])
@@ -88,18 +74,18 @@ def _row_blocks(n1, n2):
     return [slice(i, min(i + rows, n1)) for i in range(0, n1, rows)]
 
 
-def _vec(q):
-    return np.asarray(q, dtype=float)[..., 1:]
-
-
-def _as_unit_quat(value, name):
-    arr = np.asarray(value, dtype=float)
-    if arr.shape != (4,):
-        raise ValidationError(f"{name} must be a quaternion 4-array, got shape {arr.shape}")
-    _require_finite(name, arr, nodes=1)
-    if abs(np.linalg.norm(arr) - 1.0) > 1e-9:
-        raise PreconditionError(f"{name} must be a unit quaternion")
-    return arr
+def _orthonormal_pair(a, b):
+    """a and b as orthogonal unit quaternion 4-arrays; anything else raises."""
+    pair = [np.asarray(q, dtype=float) for q in (a, b)]
+    for arr, name in zip(pair, "ab"):
+        if arr.shape != (4,):
+            raise ValidationError(f"{name} must be a quaternion 4-array, got shape {arr.shape}")
+        _require_finite(name, arr, nodes=1)
+        if abs(np.linalg.norm(arr) - 1.0) > 1e-9:
+            raise PreconditionError(f"{name} must be a unit quaternion")
+    if abs(float(quat.dot(*pair))) > 1e-9:
+        raise PreconditionError("a and b must be orthogonal")
+    return pair
 
 
 def _eval_curve(fn, ts):
@@ -137,10 +123,7 @@ class Factorization:
     t2_range: tuple = None
 
     def __post_init__(self):
-        self.a = _as_unit_quat(self.a, "a")
-        self.b = _as_unit_quat(self.b, "b")
-        if abs(float(np.dot(self.a, self.b))) > 1e-9:
-            raise PreconditionError("a and b must be orthogonal")
+        self.a, self.b = _orthonormal_pair(self.a, self.b)
         zero = np.zeros(1)
         for name, fn in (("gamma1", self.gamma1), ("gamma2", self.gamma2)):
             g0 = _eval_curve(fn, zero)[0]
@@ -190,10 +173,10 @@ class ImmersionGrid:
         if X.shape != shape or Y.shape != shape:
             raise ValidationError(f"X and Y must have shape {shape}")
         _require_finite("X and Y", X, Y)
-        unit = float(_worst(_norm(X) - 1.0, _norm(Y) - 1.0))
+        unit = float(_worst(quat.norm(X) - 1.0, quat.norm(Y) - 1.0))
         if unit > 1e-9:
             raise ValidationError(f"X and Y must be unit grids, worst deviation {unit:.3e}")
-        ortho = float(np.abs(_bdot(X, Y)).max())
+        ortho = float(np.abs(quat.dot(X, Y)).max())
         if ortho > 1e-9:
             raise ValidationError(f"X and Y must be pointwise orthogonal, worst {ortho:.3e}")
         self.X = X
@@ -274,11 +257,6 @@ def _second_partials(grid, parts):
     }
 
 
-def _apply_A(X, Y, z):
-    # quarter turn of the contact plane: A.z = Y . conj(X) . z
-    return quat.mul(Y, quat.mul(quat.conj(X), z))
-
-
 def construct(a, b, gamma1, gamma2, x1, x2, dgamma1=None, dgamma2=None,
               t1_range=None, t2_range=None, tol=1e-6):
     """Assemble the product immersion of two horizontal factor curves.
@@ -308,10 +286,10 @@ def construct(a, b, gamma1, gamma2, x1, x2, dgamma1=None, dgamma2=None,
         G = _eval_curve(fn, ts)
         dG = vel(ts)
         if side == "right":
-            horiz = float(np.abs(_bdot(dG, quat.mul(axis, G))).max())
+            horiz = float(np.abs(quat.dot(dG, quat.mul(axis, G))).max())
         else:
-            horiz = float(np.abs(_bdot(dG, quat.mul(G, axis))).max())
-        speed = float(np.abs(_norm(dG) - 1.0).max())
+            horiz = float(np.abs(quat.dot(dG, quat.mul(G, axis))).max())
+        speed = float(np.abs(quat.norm(dG) - 1.0).max())
         if not (horiz <= tol and speed <= tol):
             raise PreconditionError(
                 f"gamma{index} must be {side} horizontal and arc-length parametrized; "
@@ -322,8 +300,8 @@ def construct(a, b, gamma1, gamma2, x1, x2, dgamma1=None, dgamma2=None,
     G2 = _eval_curve(factors.gamma2, x2)
     X = _product(G2, factors.a, G1)
     Y = _product(G2, factors.b, G1)
-    X = X / _norm(X)[..., None]
-    Y = Y / _norm(Y)[..., None]
+    X = X / quat.norm(X)[..., None]
+    Y = Y / quat.norm(Y)[..., None]
     return ImmersionGrid(x1, x2, X, Y, factors=factors)
 
 
@@ -337,7 +315,7 @@ def _split(origin, *grids):
     consts = [g[i0, j0] for g in grids]
     A = quat.mul(quat.conj(consts[0]), grids[0][:, j0])
     B = quat.mul(grids[0][i0, :], quat.conj(consts[0]))
-    residual = max(float(_norm(g - _product(B, c, A)).max())
+    residual = max(float(quat.norm(g - _product(B, c, A)).max())
                    for g, c in zip(grids, consts))
     return consts, A, B, residual
 
@@ -387,7 +365,7 @@ def _product_criterion(M, d1M, d2M, h1, h2):
     """Worst |d2(conj(M) d1M)| and |d1((d2M) conj(M))|; both vanish on a product."""
     U = quat.mul(quat.conj(M), d1M)
     V = quat.mul(d2M, quat.conj(M))
-    return float(_worst(_norm(_d_uniform(U, h2, 1)), _norm(_d_uniform(V, h1, 0))))
+    return float(_worst(quat.norm(_d_uniform(U, h2, 1)), quat.norm(_d_uniform(V, h1, 0))))
 
 
 def lie_factorize(x1, x2, M, tol=1e-6):
@@ -405,7 +383,7 @@ def lie_factorize(x1, x2, M, tol=1e-6):
     if M.shape != (len(x1), len(x2), 4):
         raise ValidationError(f"M must have shape {(len(x1), len(x2), 4)}")
     _require_finite("M", M)
-    norms = _norm(M)
+    norms = quat.norm(M)
     if np.abs(norms - 1.0).max() > 1e-6:
         raise ValidationError("M must consist of unit quaternions")
     M = M / norms[..., None]
@@ -444,24 +422,25 @@ def residual_suite(grid):
     for rows in _row_blocks(*X.shape[:2]):
         x, y = X[rows], Y[rows]
         d1x, d2x, d1y, d2y = block = [p[rows] for p in parts]
-        g11x, g22x = _bdot(d1x, d1x), _bdot(d2x, d2x)
-        g11y, g22y = _bdot(d1y, d1y), _bdot(d2y, d2y)
+        g11x, g22x = quat.dot(d1x, d1x), quat.dot(d2x, d2x)
+        g11y, g22y = quat.dot(d1y, d1y), quat.dot(d2y, d2y)
         # d1(Y conj(X)) = 0 and d2(conj(X) Y) = 0: the normal is transported
         left = quat.mul(d1y, quat.conj(x)) + quat.mul(y, quat.conj(d1x))
         right = quat.mul(quat.conj(d2x), y) + quat.mul(quat.conj(x), d2y)
         sec_block = {k: v[rows] for k, v in sec.items()}
         cubic = {uvw: _cubic(sec_block, block, uvw) for uvw in ("111", "122", "211", "222")}
         found = {
-            "tangency_dX_X": _worst(_bdot(d1x, x), _bdot(d2x, x)),
-            "tangency_dX_Y": _worst(_bdot(d1x, y), _bdot(d2x, y)),
-            "tangency_dY_X": _worst(_bdot(d1y, x), _bdot(d2y, x)),
-            "tangency_dY_Y": _worst(_bdot(d1y, y), _bdot(d2y, y)),
-            "omega_i": _worst(_bdot(d1x, d2y) - _bdot(d1y, d2x)),
-            "omega_k": _worst(_bdot(d1x, _apply_A(x, y, d2x)) + _bdot(d1y, _apply_A(x, y, d2y))),
+            "tangency_dX_X": _worst(quat.dot(d1x, x), quat.dot(d2x, x)),
+            "tangency_dX_Y": _worst(quat.dot(d1x, y), quat.dot(d2x, y)),
+            "tangency_dY_X": _worst(quat.dot(d1y, x), quat.dot(d2y, x)),
+            "tangency_dY_Y": _worst(quat.dot(d1y, y), quat.dot(d2y, y)),
+            "omega_i": _worst(quat.dot(d1x, d2y) - quat.dot(d1y, d2x)),
+            "omega_k": _worst(quat.dot(d1x, quat.quarter_turn(x, y, d2x))
+                              + quat.dot(d1y, quat.quarter_turn(x, y, d2y))),
             "flat_metric": _worst(g11x + g11y - 2.0, g22x + g22y - 2.0,
-                                  _bdot(d1x, d2x) + _bdot(d1y, d2y)),
+                                  quat.dot(d1x, d2x) + quat.dot(d1y, d2y)),
             "unit_speed": _worst(g11x - 1.0, g22x - 1.0, g11y - 1.0, g22y - 1.0),
-            "normal_transport": _worst(_norm(left), _norm(right)),
+            "normal_transport": _worst(quat.norm(left), quat.norm(right)),
             "product_criterion": criterion,  # whole-grid: it differentiates along both axes
             "cubic_122": _worst(cubic["122"][0] - cubic["122"][1]),
             "cubic_211": _worst(cubic["211"][0] - cubic["211"][1]),
@@ -478,7 +457,7 @@ def _cubic(sec, parts, uvw):
     u, v, w = uvw
     pair = min(u, v) + max(u, v)
     k = int(w) - 1
-    return _bdot(sec[pair + "X"], parts[k + 2]), _bdot(sec[pair + "Y"], parts[k])
+    return quat.dot(sec[pair + "X"], parts[k + 2]), quat.dot(sec[pair + "Y"], parts[k])
 
 
 def cubic_form_entries(grid):
@@ -530,8 +509,8 @@ def _propagate_sign(raw, i0, j0):
     n1, n2 = raw.shape[:2]
     sign = np.ones((n1, n2))
     row = raw[:, j0]
-    rowdots = _bdot(row[1:], row[:-1])
-    coldots = _bdot(raw[:, 1:], raw[:, :-1])
+    rowdots = quat.dot(row[1:], row[:-1])
+    coldots = quat.dot(raw[:, 1:], raw[:, :-1])
     worst = min(
         float(np.abs(rowdots).min()) if len(rowdots) else 1.0,
         float(np.abs(coldots).min()) if coldots.size else 1.0,
@@ -551,18 +530,6 @@ def _propagate_sign(raw, i0, j0):
     if j0 > 0:
         sign[:, j0 - 1::-1] = sign[:, [j0]] * np.cumprod(s_col[:, j0 - 1::-1], axis=1)
     return sign
-
-
-_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-
-
-def _det4(a, b, c, d):
-    """Determinant of the 4x4 matrices with columns a, b, c, d, by Laplace
-    expansion along the first two columns: 2x2 minors of (a, b) times the
-    complementary minors of (c, d)."""
-    m = [a[..., i] * b[..., j] - a[..., j] * b[..., i] for i, j in _PAIRS]
-    n = [c[..., i] * d[..., j] - c[..., j] * d[..., i] for i, j in _PAIRS]
-    return m[0] * n[5] - m[1] * n[4] + m[2] * n[3] + m[3] * n[2] - m[4] * n[1] + m[5] * n[0]
 
 
 def angle_function(grid):
@@ -586,7 +553,7 @@ def angle_function(grid):
     raw = np.empty_like(X)
     for rows in blocks:
         _, U, V = halves(rows)
-        nu, nv = _norm(U), _norm(V)
+        nu, nv = quat.norm(U), quat.norm(V)
         if np.any(np.maximum(nu, nv) < 1e-8):
             raise PreconditionError("angle frame undefined: both derivative components vanish")
         raw[rows] = np.where(
@@ -604,15 +571,15 @@ def angle_function(grid):
         (d1x, d2x, d1y, d2y), U, V = halves(rows)
         x, y = X[rows], Y[rows]
         e1 = sign[rows, :, None] * raw[rows]
-        th = theta[rows] = np.arctan2(_bdot(V, e1), _bdot(U, e1))
-        e2 = _apply_A(x, y, e1)
+        th = theta[rows] = np.arctan2(quat.dot(V, e1), quat.dot(U, e1))
+        e2 = quat.quarter_turn(x, y, e1)
         cs, sn = np.cos(th)[..., None], np.sin(th)[..., None]
         frame_residual = np.maximum(frame_residual, _worst(
-            _norm(d1x - (cs * e1 - sn * e2)),
-            _norm(d1y - (sn * e1 + cs * e2)),
-            _norm(d2x - (cs * e1 + sn * e2)),
-            _norm(d2y - (sn * e1 - cs * e2)),
-            _det4(x, e1, e2, y) - 1.0,
+            quat.norm(d1x - (cs * e1 - sn * e2)),
+            quat.norm(d1y - (sn * e1 + cs * e2)),
+            quat.norm(d2x - (cs * e1 + sn * e2)),
+            quat.norm(d2y - (sn * e1 - cs * e2)),
+            det4(x, e1, e2, y) - 1.0,
         ))
 
     row = theta[:, j0].copy()
@@ -694,17 +661,17 @@ def asymptotic_frame(grid, index, angle=None, tol=1e-6):
         B = grid.Y[i0, :]
         eps = EPS2
         dtheta = angle.dtheta2
-    N = _apply_A(gam, B, T)
+    N = quat.quarter_turn(gam, B, T)
     h = _uniform_step(t, f"x{index}")
     Tdot = _d_uniform(T, h, 0)
     Ndot = _d_uniform(N, h, 0)
-    trid = float(np.abs(_bdot(Tdot, B)).max())
+    trid = float(np.abs(quat.dot(Tdot, B)).max())
     if trid > tol:
         raise PreconditionError(
             f"the axis restriction is not a framed curve, b(T', B) residual {trid:.3e}"
         )
-    kappa = _bdot(Tdot, N)
-    tau = _bdot(Ndot, B)
+    kappa = quat.dot(Tdot, N)
+    tau = quat.dot(Ndot, B)
     tau_residual = float(np.abs(tau + eps).max())
     kappa_residual = float(np.abs(kappa + 2.0 * eps * dtheta).max())
     if tau_residual > 1e-3 or kappa_residual > 1e-3:
@@ -864,16 +831,6 @@ def _snap_rational(value, limit, tol):
     return frac % 1
 
 
-def _holonomy_about(element, axis_vec, tol):
-    """Angle of a fiber circle element about the axis; None when off the circle."""
-    real = float(element[0])
-    along = float(np.dot(element[1:], axis_vec))
-    off = float(np.linalg.norm(element[1:] - along * axis_vec))
-    if off > tol:
-        return None, off
-    return math.atan2(along, real), off
-
-
 def torus_ansatz(a, b, c1, c2, n1=65, n2=65, step=1e-3,
                  denominator_limit=64, snap_tol=1e-6):
     """Construct a candidate doubly-periodic immersion from two closed curves.
@@ -889,10 +846,7 @@ def torus_ansatz(a, b, c1, c2, n1=65, n2=65, step=1e-3,
     grid over one fundamental rectangle together with the PeriodLattice, or
     a NoLattice report when the rotation numbers fail to snap to rationals.
     """
-    a = _as_unit_quat(a, "a")
-    b = _as_unit_quat(b, "b")
-    if abs(float(np.dot(a, b))) > 1e-9:
-        raise PreconditionError("a and b must be orthogonal")
+    a, b = _orthonormal_pair(a, b)
     xi1 = quat.mul(quat.conj(a), b)
     xi2 = -quat.mul(b, quat.conj(a))
     for name, curve, xi in (("c1", c1, xi1), ("c2", c2, xi2)):
@@ -900,14 +854,14 @@ def torus_ansatz(a, b, c1, c2, n1=65, n2=65, step=1e-3,
             raise PreconditionError(f"{name} must be a closed curve")
         if abs(float(curve.params[0])) > 1e-12:
             raise ValidationError(f"{name} must be parametrized from 0")
-        gap = float(np.linalg.norm(curve.samples[0] - _vec(xi)))
+        gap = float(np.linalg.norm(curve.samples[0] - quat.to_vec3(xi)))
         if gap > 1e-6:
             raise PreconditionError(
                 f"{name}(0) must be the conjugated axis, offset {gap:.3e}"
             )
 
-    lift1 = sphere.horizontal_lift(c1, _vec(xi1), "right", quat.ONE, step=step)
-    lift2 = sphere.horizontal_lift(c2, _vec(xi2), "left", quat.ONE, step=step)
+    lift1 = sphere.horizontal_lift(c1, quat.to_vec3(xi1), "right", quat.ONE, step=step)
+    lift2 = sphere.horizontal_lift(c2, quat.to_vec3(xi2), "left", quat.ONE, step=step)
     p1 = float(lift1.params[-1])
     p2 = float(lift2.params[-1])
     h1 = sphere.holonomy(lift1, p1)
@@ -936,7 +890,7 @@ def torus_ansatz(a, b, c1, c2, n1=65, n2=65, step=1e-3,
     else:
         lattice = PeriodLattice(
             p1=p1, p2=p2, q1=s1, q2=s2, q1_measured=q1, q2_measured=q2,
-            axis1=_vec(xi1).copy(), axis2=_vec(quat.mul(b, quat.conj(a))).copy(),
+            axis1=quat.to_vec3(xi1), axis2=-quat.to_vec3(xi2),
         )
     return grid, lattice
 
@@ -973,10 +927,8 @@ def period_lattice(factors, p1=None, p2=None, tol=1e-6,
     verified against the holonomy algebra; failures raise NoMaximalLattice.
     """
     a, b = factors.a, factors.b
-    xi1 = quat.mul(quat.conj(a), b)
-    xi2 = quat.mul(b, quat.conj(a))
-    w1 = _vec(xi1) / np.linalg.norm(_vec(xi1))
-    w2 = _vec(xi2) / np.linalg.norm(_vec(xi2))
+    w1, w2 = (v / np.linalg.norm(v) for v in (quat.to_vec3(factors.axis1()),
+                                               quat.to_vec3(factors.axis2())))
 
     rng1 = factors.t1_range or (0.0, _TWO_PI)
     rng2 = factors.t2_range or (0.0, _TWO_PI)
@@ -995,9 +947,9 @@ def period_lattice(factors, p1=None, p2=None, tol=1e-6,
 
     E1 = quat.normalize(_eval_curve(factors.gamma1, np.array([p1]))[0])
     E2 = quat.normalize(_eval_curve(factors.gamma2, np.array([p2]))[0])
-    psi1, off1 = _holonomy_about(E1, w1, 10.0 * tol)
-    psi2, off2 = _holonomy_about(E2, w2, 10.0 * tol)
-    if psi1 is None or psi2 is None:
+    psi1, off1 = sphere.fiber_angle(E1, w1)
+    psi2, off2 = sphere.fiber_angle(E2, w2)
+    if off1 > 10.0 * tol or off2 > 10.0 * tol:
         raise NoMaximalLattice(
             f"a factor holonomy element lies off its fiber circle "
             f"(offsets {off1:.3e}, {off2:.3e}); the factors are not quasiperiodic "
@@ -1089,7 +1041,7 @@ def gauss_map(factors, x1=None, x2=None, samples=257):
     """
     i_axis = np.array([1.0, 0.0, 0.0])
     ab = quat.mul(quat.conj(factors.a), factors.b)
-    n_q = sphere.hopf_preimage(i_axis, -_vec(ab), "left")
+    n_q = sphere.hopf_preimage(i_axis, -quat.to_vec3(ab), "left")
     m_q = -quat.mul(factors.a, quat.mul(n_q, quat.QJ))
     res = max(
         float(np.linalg.norm(factors.a - quat.mul(m_q, quat.mul(quat.QJ, quat.conj(n_q))))),

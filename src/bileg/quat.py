@@ -38,8 +38,16 @@ def conj(q):
 
 
 def dot(p, q):
-    """Euclidean inner product of the coefficient 4-vectors."""
-    return np.sum(np.asarray(p) * np.asarray(q), axis=-1)
+    """Euclidean inner product b(p, q) of the coefficient 4-vectors.
+
+    The four products are summed in order: about a quarter of the cost of a
+    sum over a trailing axis of length 4 and, unlike an einsum, bit-identical
+    to np.sum(p * q, axis=-1) up to the sign of an exact zero.
+    """
+    p = np.asarray(p)
+    q = np.asarray(q)
+    return (p[..., 0] * q[..., 0] + p[..., 1] * q[..., 1]
+            + p[..., 2] * q[..., 2] + p[..., 3] * q[..., 3])
 
 
 def norm(q):
@@ -54,6 +62,11 @@ def inv(q):
     """Inverse q^-1 = conj(q)/|q|^2 (conj(q) for unit quaternions)."""
     q = np.asarray(q, dtype=float)
     return conj(q) / dot(q, q)[..., None]
+
+
+def quarter_turn(x, y, z):
+    """Quarter turn y * conj(x) * z of the plane b-orthogonal to the orthonormal pair (x, y)."""
+    return mul(y, mul(conj(x), z))
 
 
 def ad(g, x):
@@ -82,8 +95,3 @@ def from_vec3(v):
     out = np.zeros(v.shape[:-1] + (4,), dtype=float)
     out[..., 1:] = v
     return out
-
-
-def imag_dot(p, q):
-    """b(p, q) restricted to imaginary parts."""
-    return np.sum(np.asarray(p)[..., 1:] * np.asarray(q)[..., 1:], axis=-1)

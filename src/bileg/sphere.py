@@ -25,6 +25,7 @@ from scipy.interpolate import CubicSpline
 
 from . import quat
 from ._fd import prefix_products as _prefix_products
+from ._fd import require_finite as _require_finite
 from .errors import PreconditionError, ValidationError
 
 _TWO_PI = 2.0 * math.pi
@@ -51,8 +52,7 @@ def _as_quat4(value, name="value"):
     arr = np.asarray(value, dtype=float)
     if arr.shape != (4,):
         raise ValidationError(f"{name} must have 4 components, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError(f"{name} must be finite, got {arr.tolist()}")
+    _require_finite(name, arr, nodes=1)
     return arr
 
 
@@ -65,16 +65,25 @@ def _unit_axis(axis):
         arr = arr[1:]
     if arr.shape != (3,):
         raise ValidationError(f"axis must be a 3-vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError(f"axis must be finite, got {arr.tolist()}")
+    _require_finite("axis", arr, nodes=1)
     n = np.linalg.norm(arr)
     if abs(n - 1.0) > 1e-6:
         raise ValidationError(f"axis must be unit length, |axis| = {n:.3e}")
     return arr / n
 
 
+def axis_frame(a):
+    """Unit 3-vectors (e1, e2) completing the unit 3-vector a to the
+    right-handed frame (a, e1, e2); e1 leans on a's smallest component."""
+    ref = np.zeros(3)
+    ref[int(np.argmin(np.abs(a)))] = 1.0
+    e1 = ref - np.dot(ref, a) * a
+    e1 /= np.linalg.norm(e1)
+    return e1, np.cross(a, e1)
+
+
 def rotate_A(x, y, z, tol=1e-8):
-    """Quarter-turn of the plane orthogonal to <x, y>, as z -> -z * conj(x) * y.
+    """Quarter-turn of the plane orthogonal to <x, y>, as z -> y * conj(x) * z.
 
     x and y are b-orthogonal unit quaternions; z must lie in their orthogonal
     2-plane.  The result stays in that plane and applying the map twice gives
@@ -91,15 +100,14 @@ def rotate_A(x, y, z, tol=1e-8):
     scale = max(np.linalg.norm(zq), 1.0)
     if abs(quat.dot(zq, xq)) > tol * scale or abs(quat.dot(zq, yq)) > tol * scale:
         raise PreconditionError("z must be orthogonal to the plane <x, y>")
-    return -quat.mul(quat.mul(zq, quat.conj(xq)), yq)
+    return quat.quarter_turn(xq, yq, zq)
 
 
 def hopf(axis, side, g):
     """Hopf projection about the axis: ad(g) axis on the left, ad(g^-1) on the right."""
     _check_side(side)
     xi = quat.from_vec3(_unit_axis(axis))
-    gq = np.asarray(getattr(g, "coeffs", g), dtype=float)
-    gq = gq / quat.norm(gq)[..., None] if gq.ndim > 1 else gq / quat.norm(gq)
+    gq = quat.normalize(getattr(g, "coeffs", g))
     if side == "left":
         return quat.to_vec3(quat.ad(gq, xi))
     return quat.to_vec3(quat.ad(quat.conj(gq), xi))
@@ -119,11 +127,7 @@ def hopf_preimage(axis, point, side):
             g = quat.ONE.copy()
         else:
             # half turn about any direction orthogonal to the axis
-            ref = np.zeros(3)
-            ref[int(np.argmin(np.abs(a)))] = 1.0
-            n = ref - np.dot(ref, a) * a
-            n /= np.linalg.norm(n)
-            g = quat.from_vec3(n)
+            g = quat.from_vec3(axis_frame(a)[0])
     else:
         half = 0.5 * math.atan2(s, c)
         g = quat.exp_im(quat.from_vec3(cross / s * half))
@@ -154,9 +158,7 @@ class SphereCurve:
             raise ValidationError(f"samples must be (N, 3), got {samples.shape}")
         if params.shape != (samples.shape[0],):
             raise ValidationError("params must match samples in length")
-        bad = np.flatnonzero(~(np.isfinite(samples).all(axis=1) & np.isfinite(params)))
-        if bad.size:
-            raise ValidationError(f"samples and params must be finite, first bad index {bad[0]}")
+        _require_finite("samples and params", samples, params, nodes=1)
         norms = np.linalg.norm(samples, axis=1)
         if np.any(np.abs(norms - 1.0) > 1e-6):
             raise ValidationError("samples must be unit imaginary quaternions")
@@ -185,11 +187,7 @@ def latitude_circle(axis, colatitude, n=1024, turns=1):
     a = _unit_axis(axis)
     if not 0.0 <= colatitude <= math.pi:
         raise ValidationError("colatitude must lie in [0, pi]")
-    ref = np.zeros(3)
-    ref[int(np.argmin(np.abs(a)))] = 1.0
-    e1 = ref - np.dot(ref, a) * a
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(a, e1)
+    e1, e2 = axis_frame(a)
     t = np.linspace(0.0, _TWO_PI * turns, n)
     plane = np.cos(t)[:, None] * e1 - np.sin(t)[:, None] * e2
     samples = math.cos(colatitude) * a + math.sin(colatitude) * plane
@@ -443,6 +441,16 @@ class Holonomy:
     period: float
 
 
+def fiber_angle(element, axis):
+    """Angle of a quaternion about the unit 3-vector axis, and its distance
+    off the circle subgroup {exp(t axis)}; the angle means something only
+    when that distance is small."""
+    real = float(element[0])
+    along = float(np.dot(element[1:], axis))
+    off = float(np.linalg.norm(element[1:] - along * axis))
+    return math.atan2(along, real), off
+
+
 def holonomy(lift, period, tol=1e-6):
     """Rotation number of the lift over one period of its projected curve.
 
@@ -462,15 +470,13 @@ def holonomy(lift, period, tol=1e-6):
         element = quat.mul(g_period, quat.conj(g_start))
 
     a = lift.axis
-    real = float(element[0])
-    along = float(np.dot(element[1:], a))
-    off = np.linalg.norm(element[1:] - along * a)
+    angle, off = fiber_angle(element, a)
     if off > tol:
         raise ValidationError(
             f"holonomy element lies {off:.3e} off the axis circle subgroup; "
             "the projection is not periodic or the lift is not horizontal"
         )
-    q = (math.atan2(along, real) / _TWO_PI) % 1.0
+    q = (angle / _TWO_PI) % 1.0
 
     # quasiperiodicity and projected periodicity at interior samples
     ts = np.linspace(t0, t1 - period, 9) if t1 - t0 > period + 1e-9 else np.array([t0])

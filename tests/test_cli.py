@@ -1,12 +1,20 @@
 """Command-line workflows: file formats, exit codes, end-to-end pipelines."""
 
+import contextlib
+import copy
+import functools
+import io
 import json
 import math
+import pathlib
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bileg import cli, quat
 
@@ -78,6 +86,13 @@ class TestLift:
         assert cli.main(["lift", "--curve", spec, "--step", "0"]) == 2
         assert "step" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("step", ["1e-13", "1e-300"])
+    def test_step_count_is_bounded(self, tmp_path, capsys, step):
+        # rejected before the step grid is allocated
+        spec = _great_circle_spec(tmp_path)
+        assert cli.main(["lift", "--curve", spec, "--step", step]) == 2
+        assert "more than 1048576 steps" in capsys.readouterr().err
+
     def test_wrong_start_exits_3(self, tmp_path, capsys):
         spec = _great_circle_spec(tmp_path)
         assert cli.main(["lift", "--curve", spec, "--start", "0,0,1,0"]) == 3
@@ -134,7 +149,7 @@ class TestArea:
         ("great_circle", {}),
         ("fourier", {"mean": [0, 0, 1], "cos": [[0.2, 0, 0]]}),
     ])
-    @pytest.mark.parametrize("samples", [10**15, float("inf"), None])
+    @pytest.mark.parametrize("samples", [10**15, float("inf"), None, 2.5, "12", True])
     def test_sample_counts_are_bounded(self, tmp_path, capsys, kind, payload, samples):
         # rejected before anything of that size is allocated
         spec = _write_json(tmp_path / "huge.json", {
@@ -142,6 +157,18 @@ class TestArea:
             "payload": dict(payload, samples=samples)})
         assert cli.main(["area", "--curve", spec]) == 2
         assert "samples must" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["area", "lift"])
+    @pytest.mark.parametrize("field", ["cos", "sin"])
+    def test_fourier_harmonics_must_be_lists(self, tmp_path, capsys, command, field):
+        payload = {"mean": [0, 0, 1], "cos": [[0.2, 0, 0]], "sin": [[0, 0.15, 0]],
+                   "samples": 256}
+        payload[field] = 5
+        spec = _write_json(tmp_path / "four.json", {
+            "version": "bileg/1", "kind": "fourier", "axis": [0, 0, 1], "closed": True,
+            "payload": payload})
+        assert cli.main([command, "--curve", spec]) == 2
+        assert "fourier cos and sin must be lists" in capsys.readouterr().err
 
     def test_unknown_kind_exits_2(self, tmp_path, capsys):
         spec = _write_json(tmp_path / "odd.json", {
@@ -176,7 +203,8 @@ class TestConstructVerify:
                          "--out", str(tmp_path / "s.json")]) == 3
         assert "horizontal" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("n1, n2", [(10**15, 81), (81, float("inf")), (1025, 1025)])
+    @pytest.mark.parametrize("n1, n2", [(10**15, 81), (81, float("inf")), (1025, 1025),
+                                        (40.5, 41), (41, "41")])
     def test_grid_sizes_are_bounded(self, tmp_path, capsys, n1, n2):
         spec = json.loads(open(_clifford_spec(tmp_path)).read())
         spec.update(n1=n1, n2=n2)
@@ -297,6 +325,22 @@ class TestSurfaceFiles:
             "header": {"n1": 10**15, "n2": 2, "t1_range": [-1, 1], "t2_range": [-1, 1]}})
         assert cli.main(["verify", "--in", path]) == 2
         assert "quaternions" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n1", [None, [3], "17", 17.5, True])
+    def test_header_sizes_must_be_integers(self, tmp_path, capsys, n1):
+        spec = _clifford_spec(tmp_path, n=17)
+        surface = tmp_path / "surface.json"
+        assert cli.main(["construct", "--spec", spec, "--out", str(surface)]) == 0
+        data = json.loads(surface.read_text())
+        data["header"]["n1"] = n1
+        bad = _write_json(tmp_path / "bad.json", data)
+        for command in (["verify", "--in", bad],
+                        ["angle", "--in", bad, "--out", str(tmp_path / "theta.csv")],
+                        ["factorize", "--in", bad, "--out", str(tmp_path / "factors.json")],
+                        ["export", "--in", bad, "--pole", "0.5,0.5,0.5,0.5",
+                         "--out", str(tmp_path / "mesh.obj")]):
+            assert cli.main(command) == 2
+            assert "n1 must be an integer" in capsys.readouterr().err
 
     def test_non_finite_node_exits_2(self, tmp_path, capsys):
         spec = _clifford_spec(tmp_path, n=17)
@@ -449,6 +493,114 @@ class TestWriterBytes:
                 lines.append(f"f {v00 + 1} {v10 + 1} {v11 + 1}")
                 lines.append(f"f {v00 + 1} {v11 + 1} {v01 + 1}")
         assert mesh.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+# every malformed file: one field of a valid file replaced by something else
+
+def _circle_points(n):
+    t = np.linspace(0.0, 2.0 * math.pi, n)
+    return np.stack([np.cos(t), np.sin(t), 0.0 * t], axis=1).tolist()
+
+
+def _curve_documents():
+    def curve(kind, **payload):
+        return {"version": "bileg/1", "kind": kind, "axis": [0, 0, 1], "closed": True,
+                "payload": payload}
+    return [curve("latitude", colatitude=1.0, samples=256),
+            curve("great_circle", samples=256),
+            curve("fourier", mean=[0, 0, 1], cos=[[0.2, 0, 0]], sin=[[0, 0.15, 0]],
+                  samples=256),
+            curve("samples", points=_circle_points(129),
+                  params=np.linspace(0.0, 1.0, 129).tolist())]
+
+
+def _spec_documents():
+    t = np.linspace(-0.8, 0.8, 641)
+    clifford = {"version": "bileg/1", "a": [1, 0, 0, 0], "b": [0, 0, 0, 1],
+                "gamma1": {"kind": "exp_circle", "axis": [1, 0, 0]},
+                "gamma2": {"kind": "exp_circle", "axis": [0, 1, 0]},
+                "t1_range": [-0.8, 0.8], "t2_range": [-0.8, 0.8], "n1": 17, "n2": 17}
+    sampled = copy.deepcopy(clifford)
+    sampled["gamma2"] = {"kind": "samples", "t": t.tolist(),
+                         "points": [[math.cos(s), 0.0, math.sin(s), 0.0] for s in t]}
+    return [clifford, sampled]
+
+
+def _run(argv):
+    """cli.main with its printing swallowed; any exception propagates."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return cli.main(argv)
+
+
+def _commands(kind, path, tmp):
+    if kind == "curve":
+        return [["lift", "--curve", path, "--out", f"{tmp}/lift.csv"],
+                ["area", "--curve", path]]
+    if kind == "spec":
+        return [["construct", "--spec", path, "--out", f"{tmp}/surface.json"]]
+    return [["verify", "--in", path],
+            ["angle", "--in", path, "--out", f"{tmp}/theta.csv"],
+            ["factorize", "--in", path, "--out", f"{tmp}/factors.json"],
+            ["export", "--in", path, "--pole", "0.5,0.5,0.5,0.5", "--out", f"{tmp}/mesh.obj"]]
+
+
+@functools.cache
+def _valid_documents():
+    """The valid files each malformed one is made from, keyed by file kind."""
+    docs = {"curve": _curve_documents(), "spec": _spec_documents()}
+    with tempfile.TemporaryDirectory() as tmp:
+        # finite differences on a coarser grid miss the flat-metric tolerance
+        spec = _write_json(pathlib.Path(tmp) / "spec.json", dict(docs["spec"][0], n1=61, n2=61))
+        assert _run(["construct", "--spec", spec, "--out", f"{tmp}/surface.json"]) == 0
+        docs["surface"] = [json.loads(pathlib.Path(f"{tmp}/surface.json").read_text())]
+    return docs
+
+
+def _field_paths(doc, prefix=()):
+    for key, value in doc.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _field_paths(value, prefix + (key,))
+
+
+_NUMBERS = st.one_of(st.integers(-5, 100), st.floats(-1e3, 1e3),
+                     st.sampled_from([10**15, 10**400, 1e300, -1e300, math.inf]))
+_REPLACEMENTS = st.one_of(
+    st.none(),
+    st.text(max_size=4),
+    st.lists(st.one_of(st.none(), st.text(max_size=2), _NUMBERS), max_size=4),
+    _NUMBERS,
+    st.dictionaries(st.text(max_size=3),
+                    st.one_of(st.none(), _NUMBERS, st.dictionaries(st.text(max_size=2),
+                                                                   _NUMBERS, max_size=2)),
+                    max_size=3),
+    st.just(math.nan),
+)
+
+
+@pytest.mark.parametrize("kind", ["curve", "surface", "spec"])
+def test_valid_documents_exit_0(kind):
+    for doc in _valid_documents()[kind]:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = _write_json(pathlib.Path(tmp) / "in.json", doc)
+            assert [_run(argv) for argv in _commands(kind, path, tmp)] == \
+                [0] * len(_commands(kind, path, tmp))
+
+
+@pytest.mark.parametrize("kind", ["curve", "surface", "spec"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_malformed_files_exit_cleanly(kind, data):
+    """One field replaced by null, a string, a list, a number, an object or NaN:
+    every command returns 0, 2 or 3 and nothing escapes cli.main."""
+    doc = copy.deepcopy(data.draw(st.sampled_from(_valid_documents()[kind]), label="base"))
+    path = data.draw(st.sampled_from(sorted(_field_paths(doc))), label="field")
+    parent = functools.reduce(lambda node, key: node[key], path[:-1], doc)
+    parent[path[-1]] = data.draw(_REPLACEMENTS, label="value")
+    with tempfile.TemporaryDirectory() as tmp:
+        file = _write_json(pathlib.Path(tmp) / "in.json", doc)
+        for argv in _commands(kind, file, tmp):
+            assert _run(argv) in (0, 2, 3), argv
 
 
 def test_module_entry_point(tmp_path):

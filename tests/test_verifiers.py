@@ -6,9 +6,12 @@ from LAPACK, the way `factory` and `cec` did before their per-node work was
 split into row blocks and closed forms.  The verifiers must agree with them
 to roundoff, |new - ref| <= 1e-10 + 1e-9 |ref|, give the same verdict
 against the shipped tolerances, and reproduce the asymptotic frame's
-tangent bit for bit.
+tangent bit for bit.  The shared quaternion kernels (`quat.dot`,
+`quat.quarter_turn`, `_fd.det4`, `_fd.cross4`) are held to the formulas they
+replaced in the same way.
 """
 
+import itertools
 import json
 from importlib import resources
 
@@ -16,7 +19,7 @@ import numpy as np
 import pytest
 
 from bileg import cec, factory, quat
-from bileg._fd import d_uniform, uniform_step
+from bileg._fd import cross4, d_uniform, det4, uniform_step
 from bileg.factory import ImmersionGrid, from_theta
 
 TOLERANCES = json.loads(
@@ -242,7 +245,45 @@ def test_asymptotic_frame_tangent_is_bit_identical(grids, kind, index):
 def test_frame_determinant_closed_form():
     rng = np.random.default_rng(3)
     cols = [rng.standard_normal((5, 7, 4)) for _ in range(4)]
-    _agree(factory._det4(*cols), np.linalg.det(np.stack(cols, axis=-1)))
+    _agree(det4(*cols), np.linalg.det(np.stack(cols, axis=-1)))
+    # a single 4-vector takes the Python-float path: the same arithmetic, bit for bit
+    assert det4(*(c[2, 3] for c in cols)) == det4(*cols)[2, 3]
+
+
+def _levi_civita4():
+    eps = np.zeros((4, 4, 4, 4))
+    for perm in itertools.permutations(range(4)):
+        eps[perm] = np.linalg.det(np.eye(4)[list(perm)])
+    return eps
+
+
+def test_cross4_is_the_levi_civita_contraction():
+    rng = np.random.default_rng(5)
+    a, b, c = rng.standard_normal((3, 9, 11, 4))
+    ref = np.einsum("abcd,...a,...b,...c->...d", _levi_civita4(), a, b, c)
+    _agree(cross4(a, b, c), ref)
+    np.testing.assert_array_equal(cross4(a[4, 5], b[4, 5], c[4, 5]), cross4(a, b, c)[4, 5])
+
+
+def test_dot_is_bit_identical_to_the_trailing_sum():
+    rng = np.random.default_rng(7)
+    for shape in [(4,), (257, 4), (33, 65, 4)]:
+        p = rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 7, shape)
+        q = rng.standard_normal(shape)
+        np.testing.assert_array_equal(quat.dot(p, q), np.sum(p * q, axis=-1))
+
+
+def test_quarter_turn_agrees_with_the_old_rotate_A():
+    # rotate_A used to map z to -z * conj(x) * y
+    rng = np.random.default_rng(11)
+    worst = 0.0
+    for _ in range(1000):
+        frame, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        x, y, u, v = frame.T
+        z = rng.standard_normal() * u + rng.standard_normal() * v
+        old = -quat.mul(quat.mul(z, quat.conj(x)), y)
+        worst = max(worst, float(np.abs(quat.quarter_turn(x, y, z) - old).max()))
+    assert worst <= 1e-14, worst
 
 
 def _patches():
