@@ -1,5 +1,7 @@
 """Shared array helpers: axes, finite differences, running products, 4x4 determinants."""
 
+import math
+
 import numpy as np
 
 from .errors import ValidationError
@@ -17,6 +19,14 @@ def require_finite(name, *grids, nodes=2):
         bad = tuple(int(k) for k in np.argwhere(~ok)[0])
         where = f"index {bad[0]}" if nodes == 1 else f"node {bad}"
         raise ValidationError(f"{name} must be finite, first bad {where}")
+
+
+def finite(value, name):
+    """float(value), or ValidationError when it is NaN or infinite."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValidationError(f"{name} must be finite, got {value!r}")
+    return value
 
 
 def axis_array(x, name):

@@ -42,6 +42,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from . import factory, quat, sphere
+from ._fd import finite
 from .errors import BilegError, PreconditionError, ValidationError
 
 FORMAT_VERSION = "bileg/1"
@@ -94,9 +95,10 @@ def _dump_json(obj):
 
 def _float(value, name):
     try:
-        return float(value)
+        value = float(value)
     except (TypeError, ValueError, OverflowError):
         raise ValidationError(f"{name} must be a number, got {value!r}") from None
+    return finite(value, name)
 
 
 def _float_list(value, name, length):
@@ -300,15 +302,9 @@ def load_tolerances(config_path=None, overrides=()):
         if "=" in item:
             name, _, value = item.partition("=")
             _require(name in tols, f"unknown tolerance name {name!r}")
-            try:
-                tols[name] = float(value)
-            except ValueError:
-                raise ValidationError(f"bad tolerance value {value!r}") from None
+            tols[name] = _float(value, f"tolerance {name}")
         else:
-            try:
-                everywhere = float(item)
-            except ValueError:
-                raise ValidationError(f"bad tolerance {item!r}") from None
+            everywhere = _float(item, "tolerance")
             tols = {k: everywhere for k in tols}
     return tols
 
@@ -405,7 +401,8 @@ def cmd_construct(args):
     x2 = np.linspace(r2[0], r2[1], n2)
     grid = factory.construct(a, b, gamma1, gamma2, x1, x2,
                              dgamma1=dgamma1, dgamma2=dgamma2,
-                             t1_range=tuple(r1), t2_range=tuple(r2), tol=args.tol)
+                             t1_range=tuple(r1), t2_range=tuple(r2),
+                             tol=_float(args.tol, "--tol"))
     block = {"a": grid.factors.a.tolist(), "b": grid.factors.b.tolist(),
              "gamma1": np.asarray(gamma1(x1)).tolist(),
              "gamma2": np.asarray(gamma2(x2)).tolist()}
@@ -416,7 +413,7 @@ def cmd_construct(args):
 
 def cmd_factorize(args):
     grid, _ = read_surface(args.inp)
-    fz = factory.factorize(grid, tol=args.tol)
+    fz = factory.factorize(grid, tol=_float(args.tol, "--tol"))
     out = {"version": FORMAT_VERSION,
            "a": fz.a.tolist(), "b": fz.b.tolist(),
            "t1": grid.x1.tolist(),

@@ -10,7 +10,9 @@ Left multiplication m_x by a unit imaginary x is, depending on the sign of
 g(x,x), a complex structure or a para-complex structure on the algebra, and
 the module classifies its invariant 2-planes: the regular ones, the
 exceptional ones where the auxiliary product ghat degenerates, and the
-principal vectors and principal lines carried by the regular ones.
+principal vectors and principal lines carried by the regular ones.  Each
+plane is read through one orthonormal Gram-Schmidt frame Q and the 2x2
+matrix R = Q^T m_x Q, from which every test and classification follows.
 """
 
 from dataclasses import dataclass
@@ -244,9 +246,24 @@ class PlaneSpan:
 
     def __post_init__(self):
         _check_sig(self.u, self.v)
-        sv = np.linalg.svd(self.matrix(), compute_uv=False)
-        if sv[1] <= 1e-12 * sv[0]:
+        # the frame S = Q T of the unit-size matrix by Gram-Schmidt; the second
+        # column is orthogonalized twice, which keeps Q orthonormal to working
+        # precision however close the columns are (Giraud, Langou and
+        # Rozloznik, Comput. Math. Appl. 50, 2005)
+        a, c = self.matrix().T
+        t00 = np.sqrt(a @ a)
+        q0 = a / t00 if t00 > 0 else a
+        t01 = q0 @ c
+        w = c - t01 * q0
+        d = q0 @ w
+        w = w - d * q0
+        t11 = np.sqrt(w @ w)
+        # sv[1] / sv[0] of S from sv0 sv1 = |det T| and sv0^2 + sv1^2 = |T|^2 = 1
+        det = t00 * t11
+        if not det > 1e-12 * (0.5 + np.sqrt(max(0.25 - det * det, 0.0))):
             raise ValidationError("span is degenerate")
+        object.__setattr__(self, "_frame", (np.column_stack([q0, w / t11]),
+                                            np.array([[t00, t01 + d], [0.0, t11]])))
 
     @property
     def sig(self):
@@ -256,6 +273,28 @@ class PlaneSpan:
         """4x2 coefficient matrix, normalized to unit Frobenius size."""
         m = np.column_stack([self.u.coeffs, self.v.coeffs])
         return m / np.linalg.norm(m)
+
+
+def _representation(P, x, tol=_TOL):
+    """(Q, R) with Q the frame of P and R = Q^T m_x Q if m_x properly keeps P, else None.
+
+    m_x keeps P when m_x Q - Q R, its part off the plane, is at most tol
+    relative to m_x Q, and keeps it properly unless P is a real eigenplane:
+    T^-1 R T, the least-squares solution of S X = m_x S on the span basis
+    S = Q T, lies within 100 tol of +Id or -Id.
+    """
+    _require_unit_imaginary(x, "x")
+    Q, T = P._frame
+    MQ = mx_matrix(x) @ Q
+    R = Q.T @ MQ
+    if not np.linalg.norm(MQ - Q @ R) <= tol * np.linalg.norm(MQ):
+        return None
+    (a, b), (_, c) = T
+    rep = np.array([[1.0 / a, -b / (a * c)], [0.0, 1.0 / c]]) @ R @ T
+    for lam in (1.0, -1.0):
+        if np.linalg.norm(rep - lam * np.eye(2)) <= 100 * tol:
+            return None
+    return Q, R
 
 
 def eigenspaces_of_mx(x):
@@ -290,18 +329,7 @@ def _orthogonal_unit_imaginary(x, tol=1e-9):
 
 def invariant_plane_test(P, x, tol=_TOL):
     """True iff m_x maps P into itself and P is not a real eigenspace of m_x."""
-    _require_unit_imaginary(x, "x")
-    S = P.matrix()
-    M = mx_matrix(x)
-    stacked = np.hstack([S, M @ S])
-    sv = np.linalg.svd(stacked, compute_uv=False)
-    if sv[2] > tol * sv[0]:
-        return False
-    rep, *_ = np.linalg.lstsq(S, M @ S, rcond=None)
-    for lam in (1.0, -1.0):
-        if np.linalg.norm(rep - lam * np.eye(2)) <= 100 * tol:
-            return False
-    return True
+    return _representation(P, x, tol) is not None
 
 
 def bilagrangian_test(P, y1, y2, tol=_TOL):
@@ -310,9 +338,7 @@ def bilagrangian_test(P, y1, y2, tol=_TOL):
         _require_unit_imaginary(y, "y")
     if abs(inner_g(y1, y2)) > 1e-7:
         raise PreconditionError("y1, y2 must be g-orthogonal")
-    q, _ = np.linalg.qr(P.matrix())
-    u = from_coeffs(P.sig, q[:, 0])
-    v = from_coeffs(P.sig, q[:, 1])
+    u, v = (from_coeffs(P.sig, q) for q in P._frame[0].T)
     return (abs(omega_axis(y1, u, v)) <= tol
             and abs(omega_axis(y2, u, v)) <= tol)
 
@@ -326,44 +352,36 @@ def classify_plane(P, x, tol=_DEGEN_TOL):
     negative x degeneracy means a ghat-null real eigenvector sits inside P.
     """
     _require_odd(x)
-    if not invariant_plane_test(P, x):
+    rep = _representation(P, x)
+    if rep is None:
         raise PreconditionError("plane is not properly m_x-invariant")
-    S = P.matrix()
-    gram = S.T @ ghat_matrix(P.sig) @ S
-    if abs(np.linalg.det(gram)) > tol:
+    Q, R = rep
+    T = P._frame[1]
+    Gh = ghat_matrix(P.sig)
+    # ghat on the span basis S = Q T
+    gram = T.T @ (Q.T @ Gh @ Q) @ T
+    if abs(gram[0, 0] * gram[1, 1] - gram[0, 1] * gram[1, 0]) > tol:
         return REGULAR
     if inner_g(x, x) > 0:
         # degeneracy forces ghat to vanish identically on the plane
         if np.max(np.abs(gram)) > 1e-6:
             raise PreconditionError("ghat degenerate but not identically zero")
-        odd = S[1:3, :]
+        odd = (Q @ T)[1:3, :]
         osv = np.linalg.svd(odd, compute_uv=False)
         if osv[1] <= 1e-8:
             if P.sig.sign != -1:
                 raise PreconditionError("null-sum planes need an odd signature")
             return EXCEPTIONAL_NULL_SUM
         return EXCEPTIONAL_GRAPH
-    # negative x: the restriction has eigenvalues +1 and -1, so degeneracy
-    # forces one of the two real eigenlines to be ghat-null
-    rep, *_ = np.linalg.lstsq(S, mx_matrix(x) @ S, rcond=None)
-    w, vecs = np.linalg.eig(rep)
-    null_found = False
-    for idx in range(2):
-        if abs(w[idx].imag) > 1e-8:
-            continue
-        u4 = S @ vecs[:, idx].real
-        if abs(u4 @ ghat_matrix(P.sig) @ u4) <= 1e-7 * (u4 @ u4):
-            null_found = True
-    if not null_found:
-        raise PreconditionError("degenerate plane with no ghat-null eigenline")
-    return EXCEPTIONAL_NULL_EIGENVECTOR
-
-
-def _h_form(P, x):
-    """Gram matrix of h = ghat(., m_x .) on the span basis."""
-    S = P.matrix()
-    H = S.T @ ghat_matrix(P.sig) @ (mx_matrix(x) @ S)
-    return 0.5 * (H + H.T)
+    # negative x: R^2 = Id and R is not +/-Id, so R has the eigenvalues +1 and
+    # -1, the columns of R + lam Id span its eigenline of lam, and degeneracy
+    # forces one of the two eigenlines to be ghat-null
+    for lam in (1.0, -1.0):
+        E = R + lam * np.eye(2)
+        u4 = Q @ E[:, np.argmax(np.abs(E).sum(axis=0))]
+        if abs(u4 @ Gh @ u4) <= 1e-7 * (u4 @ u4):
+            return EXCEPTIONAL_NULL_EIGENVECTOR
+    raise PreconditionError("degenerate plane with no ghat-null eigenline")
 
 
 def principal_vectors(P, x):
@@ -374,26 +392,24 @@ def principal_vectors(P, x):
     """
     if classify_plane(P, x) != REGULAR:
         raise PreconditionError("principal vectors need a regular plane")
-    S = P.matrix()
-    H = _h_form(P, x)
-    # null directions of the quadratic via its eigen-frame: with H = Q L Q^T
+    Q, R = _representation(P, x)
+    T = P._frame[1]
+    Gh = ghat_matrix(P.sig)
+    # h = ghat(., m_x .) on the span basis S = Q T, where m_x Q = Q R
+    H = T.T @ (Q.T @ Gh @ Q) @ R @ T
+    H = 0.5 * (H + H.T)
+    # null directions of the quadratic via its eigen-frame: with H = E L E^T
     # the form reads l0 p^2 + l1 q^2, so p = +/- sqrt(-l1/l0) q
-    lam, Q = np.linalg.eigh(H)
+    lam, E = np.linalg.eigh(H)
     if np.min(np.abs(lam)) < 1e-12 * max(np.max(np.abs(lam)), 1.0):
         raise PreconditionError("principal quadratic is degenerate")
     ratio = -lam[1] / lam[0]
-    Gh = ghat_matrix(P.sig)
-    if ratio >= 0:
-        flag = "real"
-        roots = [np.array([np.sqrt(ratio), 1.0]),
-                 np.array([-np.sqrt(ratio), 1.0])]
-    else:
-        flag = "complex"
-        roots = [np.array([1j * np.sqrt(-ratio), 1.0 + 0j]),
-                 np.array([-1j * np.sqrt(-ratio), 1.0 + 0j])]
+    flag = "real" if ratio >= 0 else "complex"
+    # sqrt(ratio) or i sqrt(-ratio)
+    root = np.sqrt(complex(ratio))
     out = []
-    for pq in roots:
-        w = S @ (Q @ pq)
+    for pq in (np.array([root, 1.0]), np.array([-root, 1.0])):
+        w = Q @ (T @ (E @ pq))
         n2 = w @ Gh @ w
         if abs(n2) < 1e-12:
             raise PreconditionError("principal direction is ghat-null")

@@ -6,14 +6,15 @@ plane = <x, y>-perp, carrying the pseudo-involutions I, J, K, the grade map
 alpha and the pairings omega_i, g, ghat, omega_k.  The connection is ambient
 differentiation followed by projection along N = <(x,0),(y,0),(0,x),(0,y)>;
 every structure tensor is covariantly constant along W-directions, and the
-appendix-style curvature pairing has a closed form.
+appendix-style curvature pairing has a closed form.  The quarter turn A of
+the contact plane is the Hodge dual of x^y scaled to an isometry.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._fd import det4
+from ._fd import cross4
 from .clifford import Signature2
 from .errors import PreconditionError, ValidationError
 
@@ -123,25 +124,6 @@ def w_project(p, v):
     return ContactVector(p, tuple(out[:4]), tuple(out[4:]))
 
 
-def _plane_frame(p):
-    """b-orthonormal basis (u1, u2) of <x,y>-perp, positive norm first.
-
-    Returns (u1, u2, s1p, s2p) with b(u_i, u_i) = s_ip.  Raises when b
-    degenerates on the plane (possible in mixed ambient signature).
-    """
-    B = p.form.matrix
-    rows = np.vstack([p.xv @ B, p.yv @ B])
-    _, _, vt = np.linalg.svd(rows)
-    V = vt[2:].T
-    G2 = V.T @ B @ V
-    w, Q = np.linalg.eigh(G2)
-    w, Q = w[::-1], Q[:, ::-1]
-    if np.min(np.abs(w)) <= 1e-10 * max(np.max(np.abs(w)), 1.0):
-        raise PreconditionError("b degenerates on the contact plane")
-    us = [V @ Q[:, idx] / np.sqrt(abs(w[idx])) for idx in range(2)]
-    return us[0], us[1], int(np.sign(w[0])), int(np.sign(w[1]))
-
-
 @dataclass(frozen=True)
 class StructureFrame:
     """I, J, K, alpha and the four pairings of W at one base point."""
@@ -192,19 +174,22 @@ def frame_at(p, eta=None):
 
     A is fixed by b-antisymmetry, b(A., A.) = eps*b, A^2 = -eps*Id and the
     orientation condition Vol(x, u, A u, y) > 0 on the positive-norm basis
-    direction u.
+    direction u.  That makes it the Hodge dual of x^y scaled to an isometry:
+    A = s2 Sigma^-1 cross4(x, y, .) / sqrt(|b(x,x) b(y,y)|), with Sigma^-1 =
+    Sigma = diag(sigma), (s1, s2), s1 >= s2, the signature of b on the contact
+    plane and eps = s1 s2.
     """
     eta = p.form.eta if eta is None else int(eta)
     if eta not in (1, -1):
         raise ValidationError("eta must be +1 or -1")
-    u1, u2, s1p, s2p = _plane_frame(p)
-    eps = s1p * s2p
-    lam = float(np.sign(det4(p.xv, u1, u2, p.yv)))
-    B = p.form.matrix
-    # A u1 = lam u2, A u2 = -lam eps u1, extended by 0 on <x, y>
-    A = (np.outer(lam * u2, s1p * (B @ u1))
-         + np.outer(-lam * eps * u1, s2p * (B @ u2)))
-    return StructureFrame(p, eta, eps, A)
+    x, y = p.xv, p.yv
+    bxx, byy = p.form.b(x, x), p.form.b(y, y)
+    # Sylvester's law: the plane has what sigma has of positive directions
+    # beyond those of x and y
+    positive = sum(s > 0 for s in p.form.sigma) - (bxx > 0) - (byy > 0)
+    s1p, s2p = (1 if positive > 0 else -1), (1 if positive > 1 else -1)
+    A = (s2p / np.sqrt(abs(bxx * byy))) * p.form.matrix @ cross4(x, y, np.eye(4)).T
+    return StructureFrame(p, eta, s1p * s2p, A)
 
 
 _OPERATORS = ("I", "J", "K", "alpha")
@@ -286,11 +271,7 @@ def covariant_constancy_residual(form, path, fields, tensor, t0=0.0, h=1e-3):
     residual = float(np.linalg.norm(extrapolated))
 
     # velocity check at t0: both legs of dp/dt must be b-orthogonal to x and y
-    dx = (np.asarray(path(t0 + h)[0], float)
-          - np.asarray(path(t0 - h)[0], float)) / (2 * h)
-    dy = (np.asarray(path(t0 + h)[1], float)
-          - np.asarray(path(t0 - h)[1], float)) / (2 * h)
-    vel = np.concatenate([dx, dy])
+    vel = (np.concatenate(path(t0 + h)) - np.concatenate(path(t0 - h))) / (2 * h)
     in_w = np.linalg.norm(vel - w_project(p0, vel).vec8) <= 1e-6 * max(
         1.0, np.linalg.norm(vel))
     return residual, bool(in_w)

@@ -42,6 +42,7 @@ from . import quat, sphere
 from ._fd import axis_array as _axis_array
 from ._fd import d_uniform as _d_uniform
 from ._fd import det4
+from ._fd import finite as _finite
 from ._fd import prefix_products as _prefix_products
 from ._fd import require_finite as _require_finite
 from ._fd import uniform_step as _uniform_step
@@ -266,6 +267,7 @@ def construct(a, b, gamma1, gamma2, x1, x2, dgamma1=None, dgamma2=None,
     The horizontality and speed are checked by sampling; violations raise
     PreconditionError.  Returns the sampled grid with the factors attached.
     """
+    tol = _finite(tol, "tol")
     x1 = _axis_array(x1, "x1")
     x2 = _axis_array(x2, "x2")
     if t1_range is None:
@@ -328,6 +330,7 @@ def factorize(grid, tol=1e-6):
     checks that the product reproduces the whole grid.  Raises NotFactorizable
     when the reconstruction residual exceeds tol.
     """
+    tol = _finite(tol, "tol")
     (a, b), G1, G2, residual = _split(grid.origin(), grid.X, grid.Y)
     if residual > tol:
         raise NotFactorizable(
@@ -377,6 +380,7 @@ def lie_factorize(x1, x2, M, tol=1e-6):
     axes: C = M(0, 0), A = conj(C) . M(., 0) and B = M(0, .) . conj(C), so
     A(0) = B(0) = 1.
     """
+    tol = _finite(tol, "tol")
     x1 = _axis_array(x1, "x1")
     x2 = _axis_array(x2, "x2")
     M = np.asarray(M, dtype=float)

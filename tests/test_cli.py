@@ -268,6 +268,32 @@ class TestConstructVerify:
         capsys.readouterr()
 
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_tolerances_exit_2(self, tmp_path, capsys, value):
+        spec = _clifford_spec(tmp_path, n=17)
+        surface = tmp_path / "surface.json"
+        out = str(tmp_path / "out.json")
+        assert cli.main(["construct", "--spec", spec, "--out", out, f"--tol={value}"]) == 2
+        assert cli.main(["construct", "--spec", spec, "--out", str(surface)]) == 0
+        assert cli.main(["verify", "--in", str(surface), f"--tol={value}"]) == 2
+        assert cli.main(["verify", "--in", str(surface), f"--tol=flat_metric={value}"]) == 2
+        config = _write_json(tmp_path / "tols.json", {"tolerances": {"flat_metric": float(value)}})
+        assert cli.main(["verify", "--in", str(surface), "--config", config]) == 2
+        # twisting X and Y by the same non-separable rotation keeps them unit and
+        # orthogonal, and factorize refuses the result (exit 3) at a finite tolerance
+        data = json.loads(surface.read_text())
+        u = np.multiply.outer(np.arange(17), np.arange(17)).reshape(-1) / 100.0
+        twist = np.stack([np.cos(u), 0 * u, 0 * u, np.sin(u)], axis=-1)
+        for key in ("X", "Y"):
+            data[key] = quat.mul(np.array(data[key]), twist).tolist()
+        twisted = _write_json(tmp_path / "twisted.json", data)
+        assert cli.main(["factorize", "--in", twisted, "--out", out]) == 3
+        assert cli.main(["factorize", "--in", twisted, "--out", out, f"--tol={value}"]) == 2
+        assert not pathlib.Path(out).exists()
+        err = capsys.readouterr().err
+        assert err.count("must be finite") == 5
+
+
 class TestAngle:
     def test_theta_csv(self, tmp_path, capsys):
         spec = _clifford_spec(tmp_path, n=41)
@@ -610,3 +636,78 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True)
     assert result.returncode == 0
     assert "q snaps to 1/2" in result.stdout
+
+
+# every writer's output re-reads bit-exactly
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n1=st.integers(2, 9), n2=st.integers(2, 9),
+       start=st.floats(-1e3, 1e3), span=st.floats(1e-6, 1e3),
+       exponent=st.integers(-300, 0))
+def test_surface_file_re_reads_bit_exactly(seed, n1, n2, start, span, exponent):
+    from bileg.factory import ImmersionGrid
+
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n1, n2, 4))
+    X[..., 3] *= 10.0 ** exponent  # tiny components print with an exponent
+    X /= np.linalg.norm(X, axis=-1)[..., None]
+    Y = quat.mul(X, quat.QK)  # orthogonal to X at every node
+    grid = ImmersionGrid(np.linspace(start, start + span, n1),
+                         np.linspace(-start, -start + 2 * span, n2), X, Y)
+    block = {"a": rng.standard_normal(4).tolist()}
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = pathlib.Path(tmp) / "a.json", pathlib.Path(tmp) / "b.json"
+        cli.write_surface(str(first), grid, factorization=block)
+        back, back_block = cli.read_surface(str(first))
+        for name in ("x1", "x2", "X", "Y"):
+            assert getattr(back, name).tobytes() == getattr(grid, name).tobytes(), name
+        assert _bits(back_block["a"]) == _bits(block["a"])
+        cli.write_surface(str(second), back, factorization=back_block)
+        assert second.read_bytes() == first.read_bytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(cli.CURVE_KINDS), axis=st.lists(_FINITE, min_size=3, max_size=3),
+       values=st.lists(_FINITE, min_size=3, max_size=9), closed=st.booleans(),
+       samples=st.integers(2, 2**20))
+def test_curve_spec_re_reads_bit_exactly(kind, axis, values, closed, samples):
+    payload = {"samples": samples, "colatitude": values[0], "mean": values[:3],
+               "cos": [values[:3]], "points": [values[:3], values[-3:]]}
+    spec = cli.CurveSpec(kind=kind, axis=axis, payload=payload, closed=closed)
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = pathlib.Path(tmp) / "a.json", pathlib.Path(tmp) / "b.json"
+        cli.write_curve_spec(str(first), spec)
+        back = cli.read_curve_spec(str(first))
+        assert back == spec
+        assert _bits(back.axis) == _bits(axis)
+        assert _bits(back.payload["mean"] + back.payload["points"][1]) == \
+            _bits(values[:3] + values[-3:])
+        cli.write_curve_spec(str(second), back)
+        assert second.read_bytes() == first.read_bytes()
+
+
+@settings(max_examples=6, deadline=None)
+@given(n=st.integers(9, 25), half=st.floats(0.2, 1.2), tol=st.floats(1e-12, 1.0))
+def test_verify_report_re_reads_bit_exactly(n, half, tol):
+    from bileg import factory
+
+    with tempfile.TemporaryDirectory() as tmp:
+        spec = _clifford_spec(pathlib.Path(tmp), t_range=(-half, half), n=n)
+        surface, report = f"{tmp}/surface.json", pathlib.Path(tmp) / "report.json"
+        assert _run(["construct", "--spec", spec, "--out", surface]) == 0
+        code = _run(["verify", "--in", surface, f"--tol={tol!r}", "--out", str(report)])
+        text = report.read_text()
+        data = json.loads(text)
+        suite = factory.residual_suite(cli.read_surface(surface)[0])
+        assert list(data["residuals"]) == list(suite)
+        assert _bits(data["residuals"].values()) == _bits(suite.values())
+        assert _bits(data["tolerances"].values()) == _bits([tol] * len(data["tolerances"]))
+        assert data["all_pass"] is (code == 0)
+        assert json.dumps(data) + "\n" == text

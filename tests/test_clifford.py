@@ -542,3 +542,173 @@ def test_plane_span_rejects_degenerate():
     one = basis(sig)[0]
     with pytest.raises(ValidationError):
         PlaneSpan(one, 2.0 * one)
+
+
+# thresholds: each is probed a factor of 10 on either side ----------------
+
+
+def _unit_size(*columns):
+    S = np.column_stack(columns)
+    return S / np.linalg.norm(S)
+
+
+@pytest.mark.parametrize("shape", ["orthogonal", "near_parallel"])
+def test_span_threshold(shape):
+    """PlaneSpan refuses a span whose singular-value ratio is at most 1e-12."""
+    sig = Signature2(1, 1)
+    one, i, _, _ = basis(sig)
+    for ratio, accepted in ((1e-11, True), (1e-13, False)):
+        # sv ratio of [1, d i] is d; of [1, 1 + d i] it is d / 2 to first order
+        d = ratio if shape == "orthogonal" else 2 * ratio
+        v = d * i if shape == "orthogonal" else one + d * i
+        sv = np.linalg.svd(_unit_size(one.coeffs, v.coeffs), compute_uv=False)
+        assert sv[1] / sv[0] == pytest.approx(ratio, rel=1e-3)
+        if accepted:
+            PlaneSpan(one, v)
+        else:
+            with pytest.raises(ValidationError, match="degenerate"):
+                PlaneSpan(one, v)
+
+
+def test_invariance_threshold():
+    """m_x keeps P when |m_x Q - Q Q^T m_x Q| <= 1e-9 |m_x Q| for an orthonormal frame Q."""
+    sig = Signature2(1, 1)
+    one, i, j, _ = basis(sig)
+    M = mx_matrix(i)
+
+    def defect(d):
+        Q, _ = np.linalg.qr(_unit_size(one.coeffs, (i + d * j).coeffs))
+        MQ = M @ Q
+        return np.linalg.norm(MQ - Q @ (Q.T @ MQ)) / np.linalg.norm(MQ)
+
+    # span(1, i) is m_i-invariant, and the defect grows linearly as v tilts towards j
+    per_unit = defect(1e-6) / 1e-6
+    for target, kept in ((1e-10, True), (1e-8, False)):
+        d = target / per_unit
+        assert defect(d) == pytest.approx(target, rel=1e-3)
+        assert invariant_plane_test(PlaneSpan(one, i + d * j), i) is kept
+
+
+def test_eigenplane_threshold():
+    """A plane whose representation lies within 100 tol of +/-Id is an eigenplane, not invariant."""
+    sig = Signature2(1, -1)
+    j = basis(sig)[2]
+    e_plus, _ = eigenspaces_of_mx(j)
+    S = e_plus.matrix()
+    tol = 1e-10
+    for distance, proper in ((1e-9, False), (1e-7, True)):
+        # m_x = a + m_j is (1 + a) Id on E+; a real part below 1e-7 still passes as imaginary
+        x = element(sig, distance / np.sqrt(2), 0, 1, 0)
+        rep, *_ = np.linalg.lstsq(S, mx_matrix(x) @ S, rcond=None)
+        assert np.linalg.norm(rep - np.eye(2)) == pytest.approx(distance, rel=1e-6)
+        assert invariant_plane_test(e_plus, x, tol=tol) is proper
+
+
+def test_ghat_gram_threshold():
+    """A plane is regular when |det| of ghat on its unit-size span basis exceeds 1e-10."""
+    sig = Signature2(1, -1)
+    one, i, j, k = basis(sig)
+    Gh = ghat_matrix(sig)
+    # 1 - i + j + k is a ghat-null vector of E+(j) and 1 - j a non-null one of E-(j);
+    # tilting the first within E+ makes the determinant grow linearly
+    null, other, tilt = one - i + j + k, one - j, one + j
+
+    def det(e):
+        S = _unit_size((null + e * tilt).coeffs, other.coeffs)
+        return abs(np.linalg.det(S.T @ Gh @ S))
+
+    per_unit = det(1e-6) / 1e-6
+    for target, label in ((1e-9, REGULAR), (1e-11, EXCEPTIONAL_NULL_EIGENVECTOR)):
+        e = target / per_unit
+        assert det(e) == pytest.approx(target, rel=1e-3)
+        assert classify_plane(PlaneSpan(null + e * tilt, other), j) == label
+
+
+def test_principal_quadratic_threshold():
+    """principal_vectors refuses when min |eig h| < 1e-12 max(max |eig h|, 1) on the span basis."""
+    sig = Signature2(1, -1)
+    b = 100.0
+    x = from_coeffs(sig, [0.0, b, np.sqrt(b * b + 1), 0.0])
+    M = mx_matrix(x)
+    K = ghat_matrix(sig) @ M
+    # on the invariant plane span(1 + j, x (1 + j)), h reaches 200 |w|^2 along w; a
+    # span basis (w, w + d z) then gives h the eigenvalues of order 200 and d^2
+    Q, _ = np.linalg.qr(np.column_stack([[1.0, 0, 1, 0], M @ [1.0, 0, 1, 0]]))
+    lam, E = np.linalg.eigh(Q.T @ (0.5 * (K + K.T)) @ Q)
+    w, z = Q @ E[:, np.argmax(np.abs(lam))], Q @ E[:, np.argmin(np.abs(lam))]
+
+    def quadratic(d):
+        S = _unit_size(w, w + d * z)
+        H = S.T @ K @ S
+        ev = np.abs(np.linalg.eigvalsh(0.5 * (H + H.T)))
+        return ev.min() / max(ev.max(), 1.0), abs(np.linalg.det(S.T @ ghat_matrix(sig) @ S))
+
+    per_unit = quadratic(1e-3)[0] / 1e-6
+    for target, accepted in ((1e-11, True), (1e-13, False)):
+        d = np.sqrt(target / per_unit)
+        ratio, det = quadratic(d)
+        assert ratio == pytest.approx(target, rel=1e-2)
+        assert det > 1e-9  # regular by a factor of 10 and more
+        P = PlaneSpan(from_coeffs(sig, w), from_coeffs(sig, w + d * z))
+        assert classify_plane(P, x) == REGULAR
+        if accepted:
+            assert len(principal_vectors(P, x)) == 4
+        else:
+            with pytest.raises(PreconditionError, match="principal quadratic is degenerate"):
+                principal_vectors(P, x)
+
+
+# the LAPACK forms that the frame replaced, kept as references ------------
+
+
+def _ref_invariant(P, x, tol=1e-9):
+    S, M = P.matrix(), mx_matrix(x)
+    sv = np.linalg.svd(np.hstack([S, M @ S]), compute_uv=False)
+    if sv[2] > tol * sv[0]:
+        return False
+    rep, *_ = np.linalg.lstsq(S, M @ S, rcond=None)
+    return all(np.linalg.norm(rep - lam * np.eye(2)) > 100 * tol for lam in (1.0, -1.0))
+
+
+def _ref_principal(P, x):
+    S, Gh = P.matrix(), ghat_matrix(P.sig)
+    H = S.T @ Gh @ mx_matrix(x) @ S
+    lam, E = np.linalg.eigh(0.5 * (H + H.T))
+    ratio = -lam[1] / lam[0]
+    out = []
+    for root in (np.sqrt(complex(ratio)), -np.sqrt(complex(ratio))):
+        w = S @ (E @ np.array([root, 1.0]))
+        n2 = w @ Gh @ w
+        w = w / np.sqrt(n2 if ratio < 0 else abs(n2))
+        out += [w, -w]
+    return out
+
+
+def test_frame_agrees_with_lapack_reference():
+    rng = np.random.default_rng(25)
+    for sig in SIGS:
+        Gh = ghat_matrix(sig)
+        for trial in range(400):
+            x = _unit_imaginary(rng, sig, odd=True)
+            y1, y2 = _orthogonal_axes(rng, sig, x)
+            u = rand_elem(rng, sig)
+            v = mul(x, u) if trial % 2 else rand_elem(rng, sig)
+            S = np.column_stack([u.coeffs, v.coeffs])
+            if np.linalg.svd(S, compute_uv=False)[1] < 1e-3 * np.linalg.norm(S):
+                continue
+            P = PlaneSpan(u, v)
+            invariant = _ref_invariant(P, x)
+            assert invariant_plane_test(P, x) is invariant
+            q, _ = np.linalg.qr(P.matrix())
+            lagrangian = all(abs(omega_axis(y, from_coeffs(sig, q[:, 0]), from_coeffs(sig, q[:, 1])))
+                             <= 1e-9 for y in (y1, y2))
+            assert bilagrangian_test(P, y1, y2) is lagrangian
+            if not invariant:
+                continue
+            regular = bool(abs(np.linalg.det(P.matrix().T @ Gh @ P.matrix())) > 1e-10)
+            assert (classify_plane(P, x) == REGULAR) is regular
+            if regular:
+                got = [vec.coeffs if flag == "real" else vec[0].coeffs + 1j * vec[1].coeffs
+                       for vec, flag in principal_vectors(P, x)]
+                for want in _ref_principal(P, x):
+                    assert min(np.abs(w - want).max() for w in got) < 1e-12

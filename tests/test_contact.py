@@ -1,9 +1,12 @@
 """Contact bundle: frame algebra, projection, flatness, curvature pairing."""
 
+import itertools
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from bileg._fd import det4
 from bileg.clifford import basis as cl_basis
 from bileg.clifford import from_coeffs, inner_g, mul
 from bileg.contact import (
@@ -148,6 +151,58 @@ def test_frame_quaternion_rotation_example():
     for _ in range(5):
         v = random_w_vector(rng, p).vec8
         np.testing.assert_allclose(J8 @ (J8 @ v), v, atol=1e-12)
+
+
+def test_quarter_turn_meets_its_defining_conditions():
+    """A kills x and y, is b-antisymmetric, squares to -eps Id on the contact
+    plane and orients Vol(x, u, A u, y) > 0 on a positive-norm u; eps is read
+    off the eigenvalues of b on the plane, for every signature of b."""
+    rng = np.random.default_rng(38)
+    for sigma in itertools.product((1, -1), repeat=4):
+        form = AmbientForm4(sigma, -1)
+        B = form.matrix
+        for _ in range(6):
+            p = random_point(rng, form)
+            # A depends only on the plane and its orientation, not on the sizes of x and y
+            scaled = BasePoint(form, tuple(2.5 * p.xv), tuple(0.3 * p.yv))
+            np.testing.assert_allclose(frame_at(scaled).A, frame_at(p).A, rtol=1e-12, atol=1e-12)
+            fr = frame_at(p)
+            A, x, y = fr.A, p.xv, p.yv
+            size = max(1.0, np.abs(A).max()) ** 2
+            # a Euclidean-orthonormal basis V of the plane <x, y>-perp, and b on it
+            V = np.linalg.svd(np.vstack([x @ B, y @ B]))[2][2:].T
+            w, E = np.linalg.eigh(V.T @ B @ V)
+            assert fr.eps == int(np.sign(w[0] * w[1]))
+            np.testing.assert_allclose(A @ np.column_stack([x, y]), 0.0, atol=1e-12 * size)
+            np.testing.assert_allclose(B @ A, -(B @ A).T, atol=1e-12 * size)
+            np.testing.assert_allclose(A @ A @ V, -fr.eps * V, atol=1e-12 * size)
+            if w[-1] > 0:
+                u = V @ E[:, -1]
+                assert det4(x, u, A @ u, y) > 0
+
+
+def _ref_quarter_turn(p):
+    """The eigen-frame construction of A that the Hodge dual replaced, kept as a reference."""
+    B = p.form.matrix
+    V = np.linalg.svd(np.vstack([p.xv @ B, p.yv @ B]))[2][2:].T
+    w, Q = np.linalg.eigh(V.T @ B @ V)
+    w, Q = w[::-1], Q[:, ::-1]
+    u1, u2 = (V @ Q[:, k] / np.sqrt(abs(w[k])) for k in range(2))
+    s1, s2 = np.sign(w)
+    lam = np.sign(np.linalg.det(np.column_stack([p.xv, u1, u2, p.yv])))
+    # A u1 = lam u2, A u2 = -lam eps u1, extended by 0 on <x, y>
+    return np.outer(lam * u2, s1 * (B @ u1)) - np.outer(lam * s1 * s2 * u1, s2 * (B @ u2))
+
+
+def test_quarter_turn_agrees_with_eigen_frame_reference():
+    rng = np.random.default_rng(39)
+    for sigma in itertools.product((1, -1), repeat=4):
+        for eta in (1, -1):
+            form = AmbientForm4(sigma, eta)
+            for _ in range(8):
+                p = random_point(rng, form)
+                A, want = frame_at(p).A, _ref_quarter_turn(p)
+                assert np.abs(A - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def _orthonormal_frame(rng, form):

@@ -228,6 +228,20 @@ def test_factorize_rejects_non_product():
         factorize(grid)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+def test_non_finite_tol_is_rejected(tol):
+    # a NaN tolerance compares false in both directions, so it must not reach a verdict
+    x = np.linspace(-0.6, 0.6, 21)
+    xx1, xx2 = np.meshgrid(x, x, indexing="ij")
+    twisted = np.stack([np.cos(xx1 * xx2), np.sin(xx1 * xx2), 0 * xx1, 0 * xx1], axis=-1)
+    with pytest.raises(ValidationError, match="tol must be finite"):
+        construct(quat.ONE, quat.QK, G1, G2, x, x, dgamma1=DG1, dgamma2=DG2, tol=tol)
+    with pytest.raises(ValidationError, match="tol must be finite"):
+        factorize(ImmersionGrid(x, x, twisted, quat.mul(twisted, quat.QK)), tol=tol)
+    with pytest.raises(ValidationError, match="tol must be finite"):
+        lie_factorize(x, x, twisted, tol=tol)
+
+
 def test_lie_factorize_clifford():
     x = np.arange(-100, 101) * 0.01
     xx1, xx2 = np.meshgrid(x, x, indexing="ij")

@@ -187,3 +187,25 @@ def test_holonomy_q_equals_area_q(colat, ripple, axis, side):
     q_h, q_a, agree = holonomy_area_check(SphereCurve(r, t, closed=True), axis, side)
     gap = abs(q_h - q_a) % 1.0
     assert min(gap, 1.0 - gap) < 1e-6 and agree, (q_h, q_a)
+
+
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), side=st.sampled_from(sphere.SIDES))
+def test_lift_projects_onto_its_curve(seed, side):
+    rng = np.random.default_rng(seed)
+    curve = reparametrize(_fourier_curve(rng), n=2048)
+    axis = rng.normal(size=3)
+    axis /= np.linalg.norm(axis)
+    # a step just over the curve's own spacing puts the lift nodes on the curve's parameters
+    spacing = (curve.params[-1] - curve.params[0]) / (len(curve.params) - 1)
+    lift = horizontal_lift(curve, axis, side, hopf_preimage(axis, curve.samples[0], side),
+                           step=spacing * (1 + 1e-12))
+    assert np.abs(lift.params - curve.params).max() < 1e-12
+    g, xi = lift.samples, quat.from_vec3(axis)
+    if side == "left":
+        image = quat.mul(quat.mul(g, xi), quat.conj(g))
+    else:
+        image = quat.mul(quat.mul(quat.conj(g), xi), g)
+    distance = np.linalg.norm(quat.to_vec3(image) - curve.samples, axis=1).max()
+    assert distance <= lift.tracking_residual + 1e-12
+    assert lift.tracking_residual < 1e-6
