@@ -61,6 +61,19 @@ def d_uniform(F, h, axis):
     return np.moveaxis(out, 0, axis)
 
 
+def stencil_rows(rows, n):
+    """The rows of an n-row grid that d_uniform along axis 0 reads for the slice
+    `rows`: two on either side, and rows 0-4 or n-5 ... n-1 where `rows` holds a
+    one-sided edge row.  d_uniform over just these rows gives, on `rows`, the
+    whole grid's values bit for bit: every row there keeps its stencil."""
+    lo, hi = max(rows.start - 2, 0), min(rows.stop + 2, n)
+    if rows.start < 2:
+        hi = max(hi, min(5, n))
+    if rows.stop > n - 2:
+        lo = min(lo, max(n - 5, 0))
+    return slice(lo, hi)
+
+
 def prefix_products(steps, combine):
     """Running products of a sequence of steps in log2(n) batched passes.
 

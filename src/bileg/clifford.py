@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._fd import finite as _finite
 from .errors import PreconditionError, ValidationError
 
 _TOL = 1e-9
@@ -198,7 +199,13 @@ def inner_ghat(x, y):
     return inner_g(x.grade(), y)
 
 
+def _require_finite_element(w, name):
+    for coeff in (w.a, w.b, w.c, w.d):
+        _finite(coeff, name)
+
+
 def _require_unit_imaginary(w, name="axis", tol=1e-7):
+    _require_finite_element(w, name)
     if abs(w.real) > tol:
         raise PreconditionError(f"{name} must be imaginary")
     if abs(abs(inner_g(w, w)) - 1.0) > tol:
@@ -207,6 +214,7 @@ def _require_unit_imaginary(w, name="axis", tol=1e-7):
 
 def _require_odd(w, name="axis", tol=1e-7):
     # the plane classification lemmas only hold for axes in the odd part
+    _require_finite_element(w, name)
     if abs(w.a) > tol or abs(w.d) > tol:
         raise PreconditionError(f"{name} must lie in the odd part")
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._fd import cross4
+from ._fd import require_finite as _require_finite
 from .clifford import Signature2
 from .errors import PreconditionError, ValidationError
 
@@ -56,6 +57,7 @@ class BasePoint:
         y = np.asarray(self.y, dtype=float)
         if x.shape != (4,) or y.shape != (4,):
             raise ValidationError("base point needs two 4-vectors")
+        _require_finite("base point x and y", x, y, nodes=1)
         object.__setattr__(self, "x", tuple(x))
         object.__setattr__(self, "y", tuple(y))
         scale = max(1.0, float(x @ x), float(y @ y))
@@ -88,6 +90,7 @@ class ContactVector:
         mu = np.asarray(self.mu, dtype=float)
         if xi.shape != (4,) or mu.shape != (4,):
             raise ValidationError("contact vector needs two 4-vectors")
+        _require_finite("contact vector xi and mu", xi, mu, nodes=1)
         object.__setattr__(self, "xi", tuple(xi))
         object.__setattr__(self, "mu", tuple(mu))
         b = self.point.form.b

@@ -20,14 +20,21 @@ the Gauss map factorization, and the flat-torus criteria.
 Grids are indexed X[i, j] with i along x1 and j along x2.  Quaternions are
 rows (w, x, y, z).
 
-The whole-grid verifiers (`residual_suite`, `angle_function`) form their
-partials once per call and then evaluate every per-node quantity over row
-blocks of about `_BLOCK_NODES` = 16384 nodes (512 KiB per quaternion
-block).  Whole 385^2 grids (4.7 MB each) would stream some 40 full-size
-temporaries through memory, while much smaller blocks pay numpy's per-call
-cost too often; on a host with a 2 MiB L2 cache, 4096, 8192, 16384 and
-32768 nodes per block ran the verifiers at 97^2, 193^2 and 385^2 nodes
-fastest at 16384.
+The grid verifiers (`residual_suite`, `angle_function`, `lie_factorize`)
+evaluate every per-node quantity over row blocks of about `_BLOCK_NODES` =
+16384 nodes (512 KiB per quaternion block), and form the derivatives a
+block needs on a row window around it: the block's rows plus the halo the
+4th-order stencil along x1 reads, two rows on either side per x1 derivative
+and the five one-sided rows at a grid edge (`_fd.stencil_rows`).  Every
+derivative equals the whole-grid one bit for bit, yet no whole-grid
+derivative is ever held: at 385^2 nodes each verifier keeps under four
+quaternion grids (4.7 MB each) of temporaries, where whole-grid partials,
+seconds and criterion terms took up to twelve.  Much smaller blocks pay
+numpy's per-call cost too often; on a host with a 2 MiB L2 cache, 4096,
+8192, 16384 and 32768 nodes per block ran the verifiers at 97^2, 193^2 and
+385^2 nodes fastest at 16384 (measured with whole-grid partials).
+`cubic_form_entries`, which returns whole grids, takes one window of all
+rows.
 """
 
 import functools
@@ -45,6 +52,7 @@ from ._fd import det4
 from ._fd import finite as _finite
 from ._fd import prefix_products as _prefix_products
 from ._fd import require_finite as _require_finite
+from ._fd import stencil_rows as _stencil_rows
 from ._fd import uniform_step as _uniform_step
 from .errors import (
     NoMaximalLattice,
@@ -201,25 +209,76 @@ def _product(L, c, R):
     return quat.mul(L[None, :, :], quat.mul(c, R)[:, None, :])
 
 
-def _partials(grid):
-    """First partials (d1X, d2X, d1Y, d2Y): analytic when factors carry velocities."""
+class _RowDerivatives:
+    """Derivatives of quaternion fields on any run of rows of a uniform grid.
+
+    The first partials are products of the factor-curve samples
+    `curves` = (G1, dG1, G2, dG2) with one middle factor per field in
+    `consts`, or else 4th-order differences of the fields.  A difference
+    along x1 reads only the rows `_stencil_rows` names, so every value equals
+    the one formed over the whole grid bit for bit, and no whole-grid
+    derivative is ever held.
+    """
+
+    def __init__(self, x1, x2, fields, curves=None, consts=None):
+        self.n1, self.fields = len(x1), fields
+        self.curves, self.consts = curves, consts
+        self.h1, self.h2 = _uniform_step(x1, "x1"), _uniform_step(x2, "x2")
+
+    def _d1(self, F, rows, halo):
+        """d1 on `rows` of a field held on the rows halo = _stencil_rows(rows) as F."""
+        return _d_uniform(F, self.h1, 0)[rows.start - halo.start:rows.stop - halo.start]
+
+    def first(self, rows):
+        """[(d1F, d2F) for every field F] on `rows`."""
+        if self.curves is not None:
+            G1, dG1, G2, dG2 = self.curves
+            return [(_product(G2, c, dG1[rows]), _product(dG2, c, G1[rows]))
+                    for c in self.consts]
+        halo = _stencil_rows(rows, self.n1)
+        return [(self._d1(F[halo], rows, halo), _d_uniform(F[rows], self.h2, 1))
+                for F in self.fields]
+
+    def window(self, rows, second=True):
+        """(first, second, criterion) on `rows`, from the first partials on the
+        stencil rows around them: the first partials, per field the seconds
+        (d11F, d12F, d22F) unless second is False, and for the first field F
+        the worst |d2(conj(F) d1F)| and |d1((d2F) conj(F))| (both vanish on a
+        product)."""
+        halo = _stencil_rows(rows, self.n1)
+        wide = self.first(halo)
+        inner = slice(rows.start - halo.start, rows.stop - halo.start)
+        first = [(d1[inner], d2[inner]) for d1, d2 in wide]
+        seconds = None
+        if second:
+            if self.curves is not None:
+                _, dG1, _, dG2 = self.curves
+                mixed = [_product(dG2, c, dG1[rows]) for c in self.consts]
+            else:
+                mixed = [self._d1(d2, rows, halo) for _, d2 in wide]
+            seconds = [(self._d1(d1, rows, halo), d12, _d_uniform(d2, self.h2, 1))
+                       for (d1, _), (_, d2), d12 in zip(wide, first, mixed)]
+        F = self.fields[0]
+        U = quat.mul(quat.conj(F[rows]), first[0][0])
+        V = quat.mul(wide[0][1], quat.conj(F[halo]))
+        criterion = _worst(quat.norm(_d_uniform(U, self.h2, 1)),
+                           quat.norm(self._d1(V, rows, halo)))
+        return first, seconds, criterion
+
+
+def _derivatives(grid):
+    """Row derivatives of (X, Y): analytic when the factors carry velocities."""
     f = grid.factors
     if f is not None and f.dgamma1 is not None and f.dgamma2 is not None:
-        G1 = _eval_curve(f.gamma1, grid.x1)
-        G2 = _eval_curve(f.gamma2, grid.x2)
-        dG1 = f.velocity1(grid.x1)
-        dG2 = f.velocity2(grid.x2)
-        return (_product(G2, f.a, dG1), _product(dG2, f.a, G1),
-                _product(G2, f.b, dG1), _product(dG2, f.b, G1))
-    h1 = _uniform_step(grid.x1, "x1")
-    h2 = _uniform_step(grid.x2, "x2")
-    return (_d_uniform(grid.X, h1, 0), _d_uniform(grid.X, h2, 1),
-            _d_uniform(grid.Y, h1, 0), _d_uniform(grid.Y, h2, 1))
+        curves = (_eval_curve(f.gamma1, grid.x1), f.velocity1(grid.x1),
+                  _eval_curve(f.gamma2, grid.x2), f.velocity2(grid.x2))
+        return _RowDerivatives(grid.x1, grid.x2, (grid.X, grid.Y), curves, (f.a, f.b))
+    return _RowDerivatives(grid.x1, grid.x2, (grid.X, grid.Y))
 
 
 def _axis_tangent(grid, index, i0, j0):
     """d1X on the column j0 (index 1) or d2X on the row i0 (index 2), the same
-    values `_partials` gives there, without forming the whole grids."""
+    values the verifiers' first partials take there, from that line alone."""
     f = grid.factors
     if f is not None and f.dgamma1 is not None and f.dgamma2 is not None:
         if index == 1:
@@ -232,30 +291,6 @@ def _axis_tangent(grid, index, i0, j0):
     if index == 1:
         return _d_uniform(grid.X[:, j0], h1, 0)
     return _d_uniform(grid.X[i0, :], h2, 0)
-
-
-def _second_partials(grid, parts):
-    """Seconds by differencing the first partials; mixed ones analytically if possible."""
-    d1X, d2X, d1Y, d2Y = parts
-    h1 = _uniform_step(grid.x1, "x1")
-    h2 = _uniform_step(grid.x2, "x2")
-    f = grid.factors
-    if f is not None and f.dgamma1 is not None and f.dgamma2 is not None:
-        dG1 = f.velocity1(grid.x1)
-        dG2 = f.velocity2(grid.x2)
-        d12X = _product(dG2, f.a, dG1)
-        d12Y = _product(dG2, f.b, dG1)
-    else:
-        d12X = _d_uniform(d2X, h1, 0)
-        d12Y = _d_uniform(d2Y, h1, 0)
-    return {
-        "11X": _d_uniform(d1X, h1, 0),
-        "12X": d12X,
-        "22X": _d_uniform(d2X, h2, 1),
-        "11Y": _d_uniform(d1Y, h1, 0),
-        "12Y": d12Y,
-        "22Y": _d_uniform(d2Y, h2, 1),
-    }
 
 
 def construct(a, b, gamma1, gamma2, x1, x2, dgamma1=None, dgamma2=None,
@@ -317,9 +352,10 @@ def _split(origin, *grids):
     consts = [g[i0, j0] for g in grids]
     A = quat.mul(quat.conj(consts[0]), grids[0][:, j0])
     B = quat.mul(grids[0][i0, :], quat.conj(consts[0]))
-    residual = max(float(quat.norm(g - _product(B, c, A)).max())
-                   for g, c in zip(grids, consts))
-    return consts, A, B, residual
+    residual = functools.reduce(np.maximum, (
+        quat.norm(g[rows] - _product(B, c, A[rows])).max()
+        for g, c in zip(grids, consts) for rows in _row_blocks(*g.shape[:2])))
+    return consts, A, B, float(residual)
 
 
 def factorize(grid, tol=1e-6):
@@ -364,13 +400,6 @@ class LieFactors:
     reconstruction_residual: float
 
 
-def _product_criterion(M, d1M, d2M, h1, h2):
-    """Worst |d2(conj(M) d1M)| and |d1((d2M) conj(M))|; both vanish on a product."""
-    U = quat.mul(quat.conj(M), d1M)
-    V = quat.mul(d2M, quat.conj(M))
-    return float(_worst(quat.norm(_d_uniform(U, h2, 1)), quat.norm(_d_uniform(V, h1, 0))))
-
-
 def lie_factorize(x1, x2, M, tol=1e-6):
     """Split a unit quaternion grid into B(x2) . C . A(x1), if possible.
 
@@ -391,11 +420,11 @@ def lie_factorize(x1, x2, M, tol=1e-6):
     if np.abs(norms - 1.0).max() > 1e-6:
         raise ValidationError("M must consist of unit quaternions")
     M = M / norms[..., None]
-    h1 = _uniform_step(x1, "x1")
-    h2 = _uniform_step(x2, "x2")
+    derivs = _RowDerivatives(x1, x2, (M,))
     origin = _origin(x1, x2)
 
-    criterion = _product_criterion(M, _d_uniform(M, h1, 0), _d_uniform(M, h2, 1), h1, h2)
+    criterion = float(functools.reduce(np.maximum, (
+        derivs.window(rows, second=False)[2] for rows in _row_blocks(*M.shape[:2]))))
     if criterion > tol:
         raise NotFactorizable(
             f"the product criterion fails with residual {criterion:.3e}; "
@@ -417,22 +446,18 @@ def residual_suite(grid):
     Returns a dict of named maxima; a NaN anywhere makes its entry NaN.
     """
     X, Y = grid.X, grid.Y
-    parts = _partials(grid)
-    h1 = _uniform_step(grid.x1, "x1")
-    h2 = _uniform_step(grid.x2, "x2")
-    criterion = _product_criterion(X, parts[0], parts[1], h1, h2)
-    sec = _second_partials(grid, parts)
+    derivs = _derivatives(grid)
     worst = {}
     for rows in _row_blocks(*X.shape[:2]):
         x, y = X[rows], Y[rows]
-        d1x, d2x, d1y, d2y = block = [p[rows] for p in parts]
+        first, second, criterion = derivs.window(rows)
+        (d1x, d2x), (d1y, d2y) = first
         g11x, g22x = quat.dot(d1x, d1x), quat.dot(d2x, d2x)
         g11y, g22y = quat.dot(d1y, d1y), quat.dot(d2y, d2y)
         # d1(Y conj(X)) = 0 and d2(conj(X) Y) = 0: the normal is transported
         left = quat.mul(d1y, quat.conj(x)) + quat.mul(y, quat.conj(d1x))
         right = quat.mul(quat.conj(d2x), y) + quat.mul(quat.conj(x), d2y)
-        sec_block = {k: v[rows] for k, v in sec.items()}
-        cubic = {uvw: _cubic(sec_block, block, uvw) for uvw in ("111", "122", "211", "222")}
+        cubic = {uvw: _cubic(first, second, uvw) for uvw in ("111", "122", "211", "222")}
         found = {
             "tangency_dX_X": _worst(quat.dot(d1x, x), quat.dot(d2x, x)),
             "tangency_dX_Y": _worst(quat.dot(d1x, y), quat.dot(d2x, y)),
@@ -445,23 +470,24 @@ def residual_suite(grid):
                                   quat.dot(d1x, d2x) + quat.dot(d1y, d2y)),
             "unit_speed": _worst(g11x - 1.0, g22x - 1.0, g11y - 1.0, g22y - 1.0),
             "normal_transport": _worst(quat.norm(left), quat.norm(right)),
-            "product_criterion": criterion,  # whole-grid: it differentiates along both axes
+            "product_criterion": criterion,
             "cubic_122": _worst(cubic["122"][0] - cubic["122"][1]),
             "cubic_211": _worst(cubic["211"][0] - cubic["211"][1]),
-            "cubic_hat": _worst(*(first + second for first, second in cubic.values())),
+            "cubic_hat": _worst(*(dX + dY for dX, dY in cubic.values())),
         }
         for name, value in found.items():
             worst[name] = np.maximum(worst.get(name, value), value)
     return {name: float(value) for name, value in worst.items()}
 
 
-def _cubic(sec, parts, uvw):
-    """Terms (b(du dv X, dw Y), b(du dv Y, dw X)) of the entry uvw (e.g. "122"):
-    the cubic form is C(u, v, w) = first - second, its conjugate -(first + second)."""
-    u, v, w = uvw
-    pair = min(u, v) + max(u, v)
-    k = int(w) - 1
-    return quat.dot(sec[pair + "X"], parts[k + 2]), quat.dot(sec[pair + "Y"], parts[k])
+def _cubic(first, second, uvw):
+    """Terms (b(du dv X, dw Y), b(du dv Y, dw X)) of the entry uvw (e.g. "122"),
+    from the first partials [(d1X, d2X), (d1Y, d2Y)] and the seconds
+    [(d11X, d12X, d22X), (d11Y, d12Y, d22Y)]: the cubic form is
+    C(u, v, w) = first - second, its conjugate -(first + second)."""
+    u, v, w = (int(c) for c in uvw)
+    ddX, ddY = (s[u + v - 2] for s in second)
+    return quat.dot(ddX, first[1][w - 1]), quat.dot(ddY, first[0][w - 1])
 
 
 def cubic_form_entries(grid):
@@ -471,15 +497,14 @@ def cubic_form_entries(grid):
     negates the symmetrized combination.  Keys C111 ... C222 follow the index
     pattern (lead, diag, diag); Chat entries likewise.
     """
-    parts = _partials(grid)
-    sec = _second_partials(grid, parts)
+    first, second, _ = _derivatives(grid).window(slice(0, len(grid.x1)))
     out = {}
     for uvw in (u + v + w for u in "12" for v in "12" for w in "12"):
-        first, second = _cubic(sec, parts, uvw)
-        out["C" + uvw] = first - second
+        dX, dY = _cubic(first, second, uvw)
+        out["C" + uvw] = dX - dY
     for uvw in (lead + diag + diag for lead in "12" for diag in "12"):
-        first, second = _cubic(sec, parts, uvw)
-        out["Chat" + uvw] = -(first + second)
+        dX, dY = _cubic(first, second, uvw)
+        out["Chat" + uvw] = -(dX + dY)
     return out
 
 
@@ -547,16 +572,19 @@ def angle_function(grid):
     """
     i0, j0 = grid.origin()
     X, Y = grid.X, grid.Y
-    parts = _partials(grid)
+    derivs = _derivatives(grid)
     blocks = _row_blocks(*X.shape[:2])
 
-    def halves(rows):
-        d1x, d2x, d1y, d2y = block = [p[rows] for p in parts]
+    # the second pass runs backwards and so opens on the block the first one
+    # ended with: a grid of one block forms its partials once
+    @functools.lru_cache(maxsize=1)
+    def halves(k):
+        (d1x, d2x), (d1y, d2y) = block = derivs.first(blocks[k])
         return block, 0.5 * (d1x + d2x), 0.5 * (d1y + d2y)
 
     raw = np.empty_like(X)
-    for rows in blocks:
-        _, U, V = halves(rows)
+    for k, rows in enumerate(blocks):
+        _, U, V = halves(k)
         nu, nv = quat.norm(U), quat.norm(V)
         if np.any(np.maximum(nu, nv) < 1e-8):
             raise PreconditionError("angle frame undefined: both derivative components vanish")
@@ -571,8 +599,9 @@ def angle_function(grid):
     # frame is rebuilt from it in the same pass
     theta = np.empty(X.shape[:2])
     frame_residual = 0.0
-    for rows in blocks:
-        (d1x, d2x, d1y, d2y), U, V = halves(rows)
+    for k in reversed(range(len(blocks))):
+        rows = blocks[k]
+        ((d1x, d2x), (d1y, d2y)), U, V = halves(k)
         x, y = X[rows], Y[rows]
         e1 = sign[rows, :, None] * raw[rows]
         th = theta[rows] = np.arctan2(quat.dot(V, e1), quat.dot(U, e1))
@@ -592,8 +621,7 @@ def angle_function(grid):
     theta[:, j0:] = np.unwrap(theta[:, j0:], axis=1)
     theta[:, j0::-1] = np.unwrap(theta[:, j0::-1], axis=1)
 
-    h1 = _uniform_step(grid.x1, "x1")
-    h2 = _uniform_step(grid.x2, "x2")
+    h1, h2 = derivs.h1, derivs.h2
     d1theta = _d_uniform(theta, h1, 0)
     wave = float(np.abs(_d_uniform(d1theta, h2, 1)).max())
 

@@ -257,6 +257,26 @@ def test_omega_axis_antisymmetric():
                    basis(SIGS[0])[1])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_axes_are_rejected(bad):
+    # NaN compares false with every tolerance, so each validator must ask for
+    # finite coefficients before it measures anything
+    sig = Signature2(1, 1)
+    one, i, j, _ = basis(sig)
+    P = PlaneSpan(one, i)
+    y = element(sig, 0, bad, 0, 0)
+    with pytest.raises(ValidationError, match="finite"):
+        omega_axis(y, one, i)
+    with pytest.raises(ValidationError, match="finite"):
+        invariant_plane_test(P, y)
+    with pytest.raises(ValidationError, match="finite"):
+        bilagrangian_test(P, y, j)
+    with pytest.raises(ValidationError, match="finite"):
+        bilagrangian_test(P, j, y)
+    with pytest.raises(ValidationError, match="finite"):
+        classify_plane(P, element(sig, 0, 1, bad, 0))
+
+
 def test_eigenspaces_example_and_properties():
     # in (+,-) the axis j is a negative unit and E+ = <1 + j, i - k>
     sig = Signature2(1, -1)

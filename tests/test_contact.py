@@ -397,6 +397,19 @@ def test_clifford_isomorphism_carries_structures():
         clifford_isomorphism(-np.eye(2), -1, np.array([1.0, 0.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_points_and_vectors_are_rejected(bad):
+    with pytest.raises(ValidationError, match="finite"):
+        BasePoint(EUCLIDEAN, (bad, 0, 0, 0), (0, 0, 0, 1))
+    with pytest.raises(ValidationError, match="finite"):
+        BasePoint(LORENTZIAN, (1, 0, 0, 0), (0, 0, 1, bad))
+    p = BasePoint(EUCLIDEAN, (1, 0, 0, 0), (0, 0, 0, 1))
+    with pytest.raises(ValidationError, match="finite"):
+        ContactVector(p, (0, bad, 0, 0), (0, 1, 0, 0))
+    with pytest.raises(ValidationError, match="finite"):
+        ContactVector(p, (0, 1, 0, 0), (0, 0, bad, 0))
+
+
 def test_base_point_and_contact_validation():
     with pytest.raises(PreconditionError):
         BasePoint(EUCLIDEAN, (1, 0, 0, 0), (1, 0, 0, 0))

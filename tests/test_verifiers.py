@@ -9,17 +9,24 @@ against the shipped tolerances, and reproduce the asymptotic frame's
 tangent bit for bit.  The shared quaternion kernels (`quat.dot`,
 `quat.quarter_turn`, `_fd.det4`, `_fd.cross4`) are held to the formulas they
 replaced in the same way.
+
+The verifiers form their derivatives on row windows.  Those must equal bit
+for bit the whole-grid first and second partials and product criterion the
+verifiers used to form, kept below as they were, on every row block and on
+windows that touch the grid's edges; and no verifier may hold more than a
+few whole grids of temporaries.
 """
 
 import itertools
 import json
+import tracemalloc
 from importlib import resources
 
 import numpy as np
 import pytest
 
 from bileg import cec, factory, quat
-from bileg._fd import cross4, d_uniform, det4, uniform_step
+from bileg._fd import cross4, d_uniform, det4, stencil_rows, uniform_step
 from bileg.factory import ImmersionGrid, from_theta
 
 TOLERANCES = json.loads(
@@ -31,6 +38,79 @@ def _agree(new, ref):
     assert new.shape == ref.shape
     gap = np.abs(new - ref)
     assert np.all(gap <= 1e-10 + 1e-9 * np.abs(ref)), float(gap.max())
+
+
+# references: the whole-grid derivatives, as the verifiers formed them before
+# they streamed row windows
+
+def _partials(grid):
+    """First partials (d1X, d2X, d1Y, d2Y): analytic when factors carry velocities."""
+    f = grid.factors
+    if f is not None and f.dgamma1 is not None and f.dgamma2 is not None:
+        G1 = factory._eval_curve(f.gamma1, grid.x1)
+        G2 = factory._eval_curve(f.gamma2, grid.x2)
+        dG1 = f.velocity1(grid.x1)
+        dG2 = f.velocity2(grid.x2)
+        return (factory._product(G2, f.a, dG1), factory._product(dG2, f.a, G1),
+                factory._product(G2, f.b, dG1), factory._product(dG2, f.b, G1))
+    h1 = uniform_step(grid.x1, "x1")
+    h2 = uniform_step(grid.x2, "x2")
+    return (d_uniform(grid.X, h1, 0), d_uniform(grid.X, h2, 1),
+            d_uniform(grid.Y, h1, 0), d_uniform(grid.Y, h2, 1))
+
+
+def _second_partials(grid, parts):
+    """Seconds by differencing the first partials; mixed ones analytically if possible."""
+    d1X, d2X, d1Y, d2Y = parts
+    h1 = uniform_step(grid.x1, "x1")
+    h2 = uniform_step(grid.x2, "x2")
+    f = grid.factors
+    if f is not None and f.dgamma1 is not None and f.dgamma2 is not None:
+        dG1 = f.velocity1(grid.x1)
+        dG2 = f.velocity2(grid.x2)
+        d12X = factory._product(dG2, f.a, dG1)
+        d12Y = factory._product(dG2, f.b, dG1)
+    else:
+        d12X = d_uniform(d2X, h1, 0)
+        d12Y = d_uniform(d2Y, h1, 0)
+    return {
+        "11X": d_uniform(d1X, h1, 0),
+        "12X": d12X,
+        "22X": d_uniform(d2X, h2, 1),
+        "11Y": d_uniform(d1Y, h1, 0),
+        "12Y": d12Y,
+        "22Y": d_uniform(d2Y, h2, 1),
+    }
+
+
+def _product_criterion(M, d1M, d2M, h1, h2):
+    """Worst |d2(conj(M) d1M)| and |d1((d2M) conj(M))|; both vanish on a product."""
+    U = quat.mul(quat.conj(M), d1M)
+    V = quat.mul(d2M, quat.conj(M))
+    return float(factory._worst(quat.norm(d_uniform(U, h2, 1)),
+                                quat.norm(d_uniform(V, h1, 0))))
+
+
+def _cubic(sec, parts, uvw):
+    """Terms (b(du dv X, dw Y), b(du dv Y, dw X)) of the entry uvw (e.g. "122"):
+    the cubic form is C(u, v, w) = first - second, its conjugate -(first + second)."""
+    u, v, w = uvw
+    pair = min(u, v) + max(u, v)
+    k = int(w) - 1
+    return quat.dot(sec[pair + "X"], parts[k + 2]), quat.dot(sec[pair + "Y"], parts[k])
+
+
+def _cubic_form_entries(grid):
+    parts = _partials(grid)
+    sec = _second_partials(grid, parts)
+    out = {}
+    for uvw in (u + v + w for u in "12" for v in "12" for w in "12"):
+        first, second = _cubic(sec, parts, uvw)
+        out["C" + uvw] = first - second
+    for uvw in (lead + diag + diag for lead in "12" for diag in "12"):
+        first, second = _cubic(sec, parts, uvw)
+        out["Chat" + uvw] = -(first + second)
+    return out
 
 
 # references: whole-grid formulas
@@ -66,7 +146,7 @@ def _ref_cubic(sec, parts, uvw, hat=False):
 
 def _ref_residual_suite(grid):
     X, Y = grid.X, grid.Y
-    d1X, d2X, d1Y, d2Y = parts = factory._partials(grid)
+    d1X, d2X, d1Y, d2Y = parts = _partials(grid)
     out = {
         "tangency_dX_X": float(max(np.abs(_bdot(d1X, X)).max(), np.abs(_bdot(d2X, X)).max())),
         "tangency_dX_Y": float(max(np.abs(_bdot(d1X, Y)).max(), np.abs(_bdot(d2X, Y)).max())),
@@ -91,7 +171,7 @@ def _ref_residual_suite(grid):
     h1 = uniform_step(grid.x1, "x1")
     h2 = uniform_step(grid.x2, "x2")
     out["product_criterion"] = _ref_criterion(X, d1X, d2X, h1, h2)
-    sec = factory._second_partials(grid, parts)
+    sec = _second_partials(grid, parts)
     out["cubic_122"] = float(np.abs(_ref_cubic(sec, parts, "122")).max())
     out["cubic_211"] = float(np.abs(_ref_cubic(sec, parts, "211")).max())
     out["cubic_hat"] = float(np.max([np.abs(_ref_cubic(sec, parts, lead + diag + diag,
@@ -103,7 +183,7 @@ def _ref_residual_suite(grid):
 def _ref_angle(grid):
     """theta, frame_residual, wave, split, dtheta1 and dtheta2 of the immersion."""
     i0, j0 = grid.origin()
-    d1X, d2X, d1Y, d2Y = factory._partials(grid)
+    d1X, d2X, d1Y, d2Y = _partials(grid)
     U = 0.5 * (d1X + d2X)
     V = 0.5 * (d1Y + d2Y)
     nu, nv = _norm(U), _norm(V)
@@ -150,7 +230,7 @@ def _ref_angle(grid):
 def _ref_tangent(grid, index):
     """T of the asymptotic frame, read off the whole-grid partials."""
     i0, j0 = grid.origin()
-    d1X, d2X, _, _ = factory._partials(grid)
+    d1X, d2X, _, _ = _partials(grid)
     return d1X[:, j0] if index == 1 else d2X[i0, :]
 
 
@@ -189,14 +269,18 @@ _ROWS = factory._BLOCK_NODES // 97
 SIZES = [(2 * _ROWS + 11, 97), (21, 33), (7, factory._BLOCK_NODES // 2 + 1)]
 
 
-def _theta_grid(n1, n2):
+def _theta_grid(x1, x2):
     f = lambda t: 0.25 + 0.2 * np.sin(1.3 * t)
     g = lambda t: -0.15 + 0.1 * np.cos(t)
-    return from_theta(0.7, f, g, np.linspace(-0.3, 0.3, n1), np.linspace(-0.5, 0.5, n2))
+    return from_theta(0.7, f, g, x1, x2)
 
 
 def _grids(n1, n2):
-    grid = _theta_grid(n1, n2)
+    return _kinds(_theta_grid(np.linspace(-0.3, 0.3, n1), np.linspace(-0.5, 0.5, n2)))
+
+
+def _kinds(grid):
+    """The analytic grid, its finite-difference twin, and a perturbed twin."""
     bare = ImmersionGrid(grid.x1, grid.x2, grid.X, grid.Y)
     # a left rotation by a non-separable angle keeps X, Y unit and orthogonal
     u = 4e-3 * np.sin(1.7 * np.multiply.outer(grid.x1, grid.x2) + 0.3)
@@ -240,6 +324,114 @@ def test_asymptotic_frame_tangent_is_bit_identical(grids, kind, index):
     if grid.X.shape[1] == 97:  # the coarser grids miss the framed-curve tolerance
         frame = factory.asymptotic_frame(grid, index, factory.angle_function(grid))
         np.testing.assert_array_equal(frame.T, ref)
+
+
+# row windows against the whole-grid derivatives, bit for bit: every window of
+# a grid with 5 to 9 rows, and the row blocks of grids whose blocks hold 1 to 4
+# rows, which put block boundaries 1 to 4 rows from either grid edge
+
+def _centered_grids(n1, n2):
+    """The three kinds of grid over axes that hold the parameter origin also
+    when n1 or n2 is even."""
+    x1 = 0.6 / (n1 - 1) * (np.arange(n1) - n1 // 2)
+    x2 = 1.0 / (n2 - 1) * (np.arange(n2) - n2 // 2)
+    return _kinds(_theta_grid(x1, x2))
+
+
+def _assert_windows_exact(grid, windows):
+    parts = _partials(grid)
+    sec = _second_partials(grid, parts)
+    seconds = np.stack([sec[k] for k in ("11X", "12X", "22X", "11Y", "12Y", "22Y")])
+    h1, h2 = uniform_step(grid.x1, "x1"), uniform_step(grid.x2, "x2")
+    # the two terms of _product_criterion, node by node
+    U = quat.mul(quat.conj(grid.X), parts[0])
+    V = quat.mul(parts[1], quat.conj(grid.X))
+    terms = quat.norm(d_uniform(U, h2, 1)), quat.norm(d_uniform(V, h1, 0))
+    derivs = factory._derivatives(grid)
+    for rows in windows:
+        first, second, criterion = derivs.window(rows)
+        np.testing.assert_array_equal(np.stack(sum(first, ())), np.stack(parts)[:, rows])
+        np.testing.assert_array_equal(np.stack(sum(second, ())), seconds[:, rows])
+        assert criterion == factory._worst(terms[0][rows], terms[1][rows]), rows
+        np.testing.assert_array_equal(np.stack(sum(derivs.first(rows), ())),
+                                      np.stack(parts)[:, rows])
+
+
+@pytest.mark.parametrize("n1", range(5, 10))
+@pytest.mark.parametrize("kind", ["analytic", "finite_difference", "perturbed"])
+def test_every_window_of_a_short_grid_is_exact(n1, kind):
+    grid = _centered_grids(n1, 11)[kind]
+    _assert_windows_exact(grid, [slice(r0, r1) for r0 in range(n1) for r1 in range(r0 + 1, n1 + 1)])
+
+
+def test_stencil_rows_hold_what_the_stencil_reads():
+    for n in range(5, 12):
+        for r0, r1 in itertools.combinations(range(n + 1), 2):
+            halo = stencil_rows(slice(r0, r1), n)
+            read = set()
+            for k in range(r0, r1):
+                read |= set(range(5) if k < 2 else range(n - 5, n) if k > n - 3
+                            else range(k - 2, k + 3))
+            assert set(range(halo.start, halo.stop)) == set(range(min(read), max(read) + 1))
+
+
+# one-row blocks on 9 rows put boundaries 1 to 4 rows from both edges; the
+# others put them 2 and 4 rows (8 rows of 2), 3 and 1 (7 of 3), 4 and 1 (5 of 4)
+@pytest.mark.parametrize("block_rows, n1", [(1, 9), (2, 8), (3, 7), (4, 5)])
+def test_row_blocks_near_the_edges_are_exact(block_rows, n1, monkeypatch):
+    # the narrowest grid whose row blocks hold block_rows rows
+    n2 = factory._BLOCK_NODES // (block_rows + 1) + 1
+    blocks = factory._row_blocks(n1, n2)
+    assert {b.stop - b.start for b in blocks[:-1]} <= {block_rows}
+    for kind, grid in _centered_grids(n1, n2).items():
+        _assert_windows_exact(grid, blocks)
+        parts = _partials(grid)
+        h1, h2 = uniform_step(grid.x1, "x1"), uniform_step(grid.x2, "x2")
+        suite = factory.residual_suite(grid)
+        assert suite["product_criterion"] == _product_criterion(grid.X, parts[0], parts[1], h1, h2)
+        cubic, ref = factory.cubic_form_entries(grid), _cubic_form_entries(grid)
+        assert list(cubic) == list(ref)
+        for name in ref:
+            np.testing.assert_array_equal(cubic[name], ref[name])
+        M = grid.X / quat.norm(grid.X)[..., None]
+        lie = factory.lie_factorize(grid.x1, grid.x2, grid.X, tol=1e300)
+        assert lie.criterion_residual == _product_criterion(
+            M, d_uniform(M, h1, 0), d_uniform(M, h2, 1), h1, h2)
+        # one block over the whole grid forms the whole-grid derivatives
+        monkeypatch.setattr(factory, "_BLOCK_NODES", n1 * n2)
+        assert factory.residual_suite(grid) == suite
+        monkeypatch.undo()
+
+
+# temporaries: at 385^2 nodes every whole-grid derivative would be one more
+# 4.7 MB quaternion grid; the verifiers hold at most four grids' worth at once
+
+@pytest.fixture(scope="module")
+def large_grids():
+    return _grids(385, 385)
+
+
+@pytest.mark.parametrize("verifier, kind", [
+    ("residual_suite", "analytic"), ("residual_suite", "finite_difference"),
+    ("angle_function", "analytic"), ("angle_function", "finite_difference"),
+    ("lie_factorize", "finite_difference"),
+])
+def test_verifier_temporaries_stay_under_four_grids(large_grids, verifier, kind):
+    grid = large_grids[kind]
+    call = {
+        "residual_suite": lambda: factory.residual_suite(grid),
+        "angle_function": lambda: factory.angle_function(grid),
+        "lie_factorize": lambda: factory.lie_factorize(grid.x1, grid.x2, grid.X),
+    }[verifier]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    grids = (peak - before) / grid.X.nbytes
+    assert grids <= 4.0, f"{verifier} held {grids:.2f} quaternion grids of temporaries"
 
 
 def test_frame_determinant_closed_form():
