@@ -144,7 +144,11 @@ def _parse_quat(text, name="quaternion"):
         q = np.array([float(p) for p in parts])
     except ValueError:
         raise ValidationError(f"{name} must be numeric, got {text!r}") from None
-    _require(np.linalg.norm(q) > 1e-9, f"{name} must be nonzero")
+    _require(np.isfinite(q).all(), f"{name} must be finite, got {text!r}")
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(q)
+    _require(norm > 1e-9, f"{name} must be nonzero")
+    _require(np.isfinite(norm), f"{name} is too large, its squared norm overflows: {text!r}")
     return q
 
 

@@ -67,8 +67,9 @@ class Signature2:
         descending order, so the result depends only on the signature.
         """
         b2 = np.asarray(b2, dtype=float)
-        if b2.shape != (2, 2) or abs(b2[0, 1] - b2[1, 0]) > tol:
-            raise ValidationError("expected a symmetric 2x2 matrix")
+        if (b2.shape != (2, 2) or not np.isfinite(b2).all()
+                or abs(b2[0, 1] - b2[1, 0]) > tol):
+            raise ValidationError("expected a finite symmetric 2x2 matrix")
         w = np.sort(np.linalg.eigvalsh(b2))[::-1]
         if np.min(np.abs(w)) <= tol:
             raise ValidationError("form is degenerate")

@@ -3,7 +3,10 @@
 Base space M = {(x, y) : b(x,x) != 0, b(y,y) != 0, b(x,y) = 0} for a
 nondegenerate diagonal form b.  Over each point sits W = plane x plane with
 plane = <x, y>-perp, carrying the pseudo-involutions I, J, K, the grade map
-alpha and the pairings omega_i, g, ghat, omega_k.  The connection is ambient
+alpha and the pairings omega_i, g, ghat, omega_k.  Each of these is one
+Kronecker product kron(L, X) of a 2x2 matrix L in eta on the legs (xi, mu)
+with X = Id or the quarter turn A for an operator, B = diag(sigma) or B A
+for a pairing (the table _TENSORS).  The connection is ambient
 differentiation followed by projection along N = <(x,0),(y,0),(0,x),(0,y)>;
 every structure tensor is covariantly constant along W-directions, and the
 appendix-style curvature pairing has a closed form.  The quarter turn A of
@@ -21,6 +24,25 @@ from .errors import PreconditionError, ValidationError
 
 _MEMBER_TOL = 1e-10
 
+# name: (is a pairing, acts through A, leg matrix L in eta)
+_TENSORS = {
+    "I": (False, False, lambda e: [[0, 1], [-e, 0]]),
+    "J": (False, True, lambda e: [[0, e], [1, 0]]),
+    "K": (False, True, lambda e: [[1, 0], [0, -1]]),
+    "alpha": (False, False, lambda e: [[1, 0], [0, -1]]),
+    "g": (True, False, lambda e: [[1, 0], [0, e]]),
+    "ghat": (True, False, lambda e: [[1, 0], [0, -e]]),
+    "omega_i": (True, False, lambda e: [[0, 1], [-1, 0]]),
+    "omega_k": (True, True, lambda e: [[1, 0], [0, -e]]),
+}
+
+
+def _eta(eta):
+    """eta as an int; ValidationError unless it equals +1 or -1 exactly."""
+    if eta not in (1, -1):
+        raise ValidationError("eta must be +1 or -1")
+    return int(eta)
+
 
 @dataclass(frozen=True)
 class AmbientForm4:
@@ -32,8 +54,7 @@ class AmbientForm4:
     def __post_init__(self):
         if len(self.sigma) != 4 or any(s not in (1, -1) for s in self.sigma):
             raise ValidationError("sigma must be four entries of +1 or -1")
-        if self.eta not in (1, -1):
-            raise ValidationError("eta must be +1 or -1")
+        _eta(self.eta)
         object.__setattr__(self, "sigma", tuple(int(s) for s in self.sigma))
 
     @property
@@ -106,7 +127,8 @@ class ContactVector:
 
 
 def _as8(v):
-    v = np.asarray(v, dtype=float)
+    """An ambient 8-vector from a ContactVector, an 8-vector or its (2, 4) legs."""
+    v = np.asarray(getattr(v, "vec8", v), dtype=float)
     if v.shape == (8,):
         return v
     if v.shape == (2, 4):
@@ -116,15 +138,13 @@ def _as8(v):
 
 def w_project(p, v):
     """Project an ambient 8-vector to W along N, componentwise."""
-    v = _as8(v)
-    b = p.form.b
-    x, y = p.xv, p.yv
-    out = np.empty(8)
-    for half in (0, 1):
-        leg = v[4 * half:4 * half + 4]
-        leg = leg - (b(leg, x) / b(x, x)) * x - (b(leg, y) / b(y, y)) * y
-        out[4 * half:4 * half + 4] = leg
-    return ContactVector(p, tuple(out[:4]), tuple(out[4:]))
+    legs = _as8(v).reshape(2, 4)
+    xy = np.array([p.x, p.y])
+    # c[leg, n] = b(leg, n) / b(n, n) for n = x, y
+    c = np.sum(np.array(p.form.sigma) * legs[:, None] * xy, axis=2) / [
+        p.form.b(p.x, p.x), p.form.b(p.y, p.y)]
+    out = legs - c[:, :1] * xy[0] - c[:, 1:] * xy[1]
+    return ContactVector(p, tuple(out[0]), tuple(out[1]))
 
 
 @dataclass(frozen=True)
@@ -136,33 +156,21 @@ class StructureFrame:
     eps: int
     A: np.ndarray = field(repr=False)
 
+    def _tensor8(self, name, pairing):
+        is_pairing, through_a, legs = _TENSORS.get(name, (None, None, None))
+        if is_pairing is not pairing:
+            kind = "pairing" if pairing else "operator"
+            raise ValidationError(f"unknown {kind}: {name!r}")
+        X = self.A if through_a else np.eye(4)
+        if pairing:
+            X = self.point.form.matrix @ X
+        return np.kron(legs(self.eta), X)
+
     def operator8(self, name):
-        A, eta = self.A, self.eta
-        I4 = np.eye(4)
-        Z = np.zeros((4, 4))
-        if name == "I":
-            return np.block([[Z, I4], [-eta * I4, Z]])
-        if name == "J":
-            return np.block([[Z, eta * A], [A, Z]])
-        if name == "K":
-            return np.block([[A, Z], [Z, -A]])
-        if name == "alpha":
-            return np.block([[I4, Z], [Z, -I4]])
-        raise ValidationError(f"unknown operator: {name!r}")
+        return self._tensor8(name, False)
 
     def gram8(self, name):
-        B = self.point.form.matrix
-        eta = self.eta
-        Z = np.zeros((4, 4))
-        if name == "g":
-            return np.block([[B, Z], [Z, eta * B]])
-        if name == "ghat":
-            return np.block([[B, Z], [Z, -eta * B]])
-        if name == "omega_i":
-            return np.block([[Z, B], [-B, Z]])
-        if name == "omega_k":
-            return self.gram8("g") @ self.operator8("K")
-        raise ValidationError(f"unknown pairing: {name!r}")
+        return self._tensor8(name, True)
 
     def apply(self, name, cv):
         out = self.operator8(name) @ cv.vec8
@@ -182,9 +190,7 @@ def frame_at(p, eta=None):
     Sigma = diag(sigma), (s1, s2), s1 >= s2, the signature of b on the contact
     plane and eps = s1 s2.
     """
-    eta = p.form.eta if eta is None else int(eta)
-    if eta not in (1, -1):
-        raise ValidationError("eta must be +1 or -1")
+    eta = _eta(p.form.eta if eta is None else eta)
     x, y = p.xv, p.yv
     bxx, byy = p.form.b(x, x), p.form.b(y, y)
     # Sylvester's law: the plane has what sigma has of positive directions
@@ -193,10 +199,6 @@ def frame_at(p, eta=None):
     s1p, s2p = (1 if positive > 0 else -1), (1 if positive > 1 else -1)
     A = (s2p / np.sqrt(abs(bxx * byy))) * p.form.matrix @ cross4(x, y, np.eye(4)).T
     return StructureFrame(p, eta, s1p * s2p, A)
-
-
-_OPERATORS = ("I", "J", "K", "alpha")
-_PAIRINGS = ("g", "ghat", "omega_i", "omega_k")
 
 
 def _on_manifold(form, x, y, tol=1e-8):
@@ -217,67 +219,43 @@ def covariant_constancy_residual(form, path, fields, tensor, t0=0.0, h=1e-3):
     """
     if not 0 < h <= 0.05:
         raise ValidationError("step must lie in (0, 0.05]")
-    if tensor not in _OPERATORS and tensor not in _PAIRINGS:
+    if tensor not in _TENSORS:
         raise ValidationError(f"unknown tensor: {tensor!r}")
-    need = 1 if tensor in _OPERATORS else 2
+    pairing = _TENSORS[tensor][0]
+    need = 2 if pairing else 1
     if len(fields) != need:
         raise ValidationError(f"tensor {tensor} needs {need} section(s)")
 
-    def point_at(t):
-        x, y = path(t)
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
+    def at(t):
+        """Point (x, y) as an 8-vector, frame, tensor matrix and sections at t."""
+        x, y = (np.asarray(v, dtype=float) for v in path(t))
         if not _on_manifold(form, x, y):
             raise PreconditionError("path leaves the base manifold")
-        return BasePoint(form, tuple(x), tuple(y))
+        fr = frame_at(BasePoint(form, tuple(x), tuple(y)))
+        return (np.concatenate([x, y]), fr, fr._tensor8(tensor, pairing),
+                [_as8(fn(t)) for fn in fields])
 
-    p0 = point_at(t0)
-    fr0 = frame_at(p0)
+    # stencil times t0, t0 -+ h, t0 -+ h/2
+    xy, frames, T, S = zip(*(at(t) for t in (t0, t0 - h, t0 + h, t0 - h / 2, t0 + h / 2)))
+    p0 = frames[0].point
 
-    def section8(fn, t):
-        cv = fn(t)
-        if isinstance(cv, ContactVector):
-            return cv.vec8
-        return _as8(cv)
-
-    def residual_at(step):
-        for t in (t0 - step, t0 + step):
-            point_at(t)
+    def residual(lo, hi, step):
         # nabla of each section: ambient centered difference, then project
-        nabla = []
-        for fn in fields:
-            ds = (section8(fn, t0 + step) - section8(fn, t0 - step)) / (2 * step)
-            nabla.append(w_project(p0, ds).vec8)
-        if tensor in _OPERATORS:
-            def image(t):
-                fr = frame_at(point_at(t))
-                return fr.operator8(tensor) @ section8(fields[0], t)
-            dimg = (image(t0 + step) - image(t0 - step)) / (2 * step)
-            res8 = (w_project(p0, dimg).vec8
-                    - fr0.operator8(tensor) @ nabla[0])
-            return res8
-        def value(t):
-            fr = frame_at(point_at(t))
-            s = section8(fields[0], t)
-            u = section8(fields[1], t)
-            return s @ fr.gram8(tensor) @ u
-        dval = (value(t0 + step) - value(t0 - step)) / (2 * step)
-        G0 = fr0.gram8(tensor)
-        s0 = section8(fields[0], t0)
-        u0 = section8(fields[1], t0)
-        corr = nabla[0] @ G0 @ u0 + s0 @ G0 @ nabla[1]
+        nabla = [w_project(p0, (S[hi][k] - S[lo][k]) / (2 * step)).vec8
+                 for k in range(need)]
+        if not pairing:
+            dimg = (T[hi] @ S[hi][0] - T[lo] @ S[lo][0]) / (2 * step)
+            return w_project(p0, dimg).vec8 - T[0] @ nabla[0]
+        dval = (S[hi][0] @ T[hi] @ S[hi][1] - S[lo][0] @ T[lo] @ S[lo][1]) / (2 * step)
+        corr = nabla[0] @ T[0] @ S[0][1] + S[0][0] @ T[0] @ nabla[1]
         return np.atleast_1d(dval - corr)
 
-    r_h = residual_at(h)
-    r_h2 = residual_at(h / 2)
-    extrapolated = (4.0 * r_h2 - r_h) / 3.0
-    residual = float(np.linalg.norm(extrapolated))
-
+    extrapolated = (4.0 * residual(3, 4, h / 2) - residual(1, 2, h)) / 3.0
     # velocity check at t0: both legs of dp/dt must be b-orthogonal to x and y
-    vel = (np.concatenate(path(t0 + h)) - np.concatenate(path(t0 - h))) / (2 * h)
+    vel = (xy[2] - xy[1]) / (2 * h)
     in_w = np.linalg.norm(vel - w_project(p0, vel).vec8) <= 1e-6 * max(
         1.0, np.linalg.norm(vel))
-    return residual, bool(in_w)
+    return float(np.linalg.norm(extrapolated)), bool(in_w)
 
 
 def curvature_pairing(p, X, eta=None):
@@ -287,45 +265,33 @@ def curvature_pairing(p, X, eta=None):
     the right side is the closed form in terms of ghat.  X must have colinear
     legs for the identity to be exact.
     """
-    eta = p.form.eta if eta is None else int(eta)
+    eta = _eta(p.form.eta if eta is None else eta)
     fr = frame_at(p, eta)
     b = p.form.b
-    xi = np.array(X.xi)
-    mu = np.array(X.mu)
-    legs = np.column_stack([xi, mu])
-    sv = np.linalg.svd(legs, compute_uv=False)
+    X8 = X.vec8
+    sv = np.linalg.svd(X8.reshape(2, 4).T, compute_uv=False)
     if sv[1] > 1e-8 * max(sv[0], 1.0):
         raise PreconditionError("legs of X must be colinear")
     x, y = p.xv, p.yv
-    lam_x = np.sqrt(abs(b(x, x)))
-    lam_y = np.sqrt(abs(b(y, y)))
-    s_x = np.sign(b(x, x))
-    s_y = np.sign(b(y, y))
-    eps_i = (s_x, s_y, eta * s_x, eta * s_y)
+    bxx, byy = b(x, x), b(y, y)
+    lam_x, lam_y = np.sqrt(abs(bxx)), np.sqrt(abs(byy))
+    s_x, s_y = np.sign(bxx), np.sign(byy)
 
-    def B_i(idx, U, V):
-        u1, u2 = U[:4], U[4:]
-        v1, v2 = V[:4], V[4:]
-        if idx == 0:
-            return -b(u1, v1) / lam_x
-        if idx == 1:
-            return -b(u2, v1) / lam_y
-        if idx == 2:
-            return -eta * b(u1, v2) / lam_x
-        return -eta * b(u2, v2) / lam_y
-
-    X8 = X.vec8
-    JX = fr.operator8("J") @ X8
-    KX = fr.operator8("K") @ X8
+    X, JX, KX = (v.reshape(2, 4) for v in (X8, fr.operator8("J") @ X8, fr.operator8("K") @ X8))
     lhs = 0.0
-    for idx in range(4):
-        lhs += eps_i[idx] * (B_i(idx, JX, X8) * B_i(idx, X8, KX)
-                             - B_i(idx, X8, X8) * B_i(idx, JX, KX))
+    # normal direction: B(U, V) = factor * b(U[u], V[v]) / lam, weighted by sign
+    for u, v, factor, lam, sign in ((0, 0, -1, lam_x, s_x), (1, 0, -1, lam_y, s_y),
+                                    (0, 1, -eta, lam_x, eta * s_x),
+                                    (1, 1, -eta, lam_y, eta * s_y)):
+        def B(U, V):
+            return factor * b(U[u], V[v]) / lam
+        lhs += sign * (B(JX, X) * B(X, KX) - B(X, X) * B(JX, KX))
 
-    norm_p = b(x, x) + eta * b(y, y)
-    ghat_XIX = fr.pair("ghat", X, fr.apply("I", X))
-    ghat_XX = fr.pair("ghat", X, X)
-    rhs = (-fr.eps * norm_p / (2.0 * b(x, x) * b(y, y))) * ghat_XIX * ghat_XX
+    norm_p = bxx + eta * byy
+    ghat = fr.gram8("ghat")
+    ghat_XIX = float(X8 @ ghat @ (fr.operator8("I") @ X8))
+    ghat_XX = float(X8 @ ghat @ X8)
+    rhs = (-fr.eps * norm_p / (2.0 * bxx * byy)) * ghat_XIX * ghat_XX
     return float(lhs), float(rhs)
 
 
@@ -352,12 +318,11 @@ def clifford_isomorphism(b2, eta, v):
     (omega_axis(i), g, grade) of the algebra.
     """
     b2 = np.asarray(b2, dtype=float)
-    eta = int(eta)
-    if b2.shape != (2, 2) or abs(b2[0, 1] - b2[1, 0]) > 1e-12:
-        raise ValidationError("expected a symmetric 2x2 form")
-    if eta not in (1, -1):
-        raise ValidationError("eta must be +1 or -1")
     v = np.asarray(v, dtype=float)
+    if (b2.shape != (2, 2) or v.shape != (2,) or not np.isfinite(b2).all()
+            or not np.isfinite(v).all() or abs(b2[0, 1] - b2[1, 0]) > 1e-12):
+        raise ValidationError("expected a finite symmetric 2x2 form and a finite 2-vector")
+    eta = _eta(eta)
     nv = v @ b2 @ v
     if nv <= 1e-12:
         raise PreconditionError("v must be a positive direction of b2")
@@ -368,22 +333,14 @@ def clifford_isomorphism(b2, eta, v):
     if abs(nw) <= 1e-12:
         raise PreconditionError("b2 degenerates on the complement of v")
     u2 = w / np.sqrt(abs(nw))
-    sigma2 = int(np.sign(nw))
-    sig = Signature2(eta, eta * sigma2)
-    # columns: images of (u1, u2, 0, 0) and (0, 0, u1, u2) in coefficients
-    # phi0(u1) = 1, phi0(u2) = k, second factor premultiplied by i^{-1} = -eta*i
+    sig = Signature2(eta, eta * int(np.sign(nw)))
+    # images of (u1, u2) in each leg: phi0(u1) = 1, phi0(u2) = k, and the mu
+    # leg premultiplied by i^{-1} = -eta*i:
     # -eta*i*1 = -eta*i ; -eta*i*k = -eta*(-s1 j) = eta*s1 j = j  (s1 = eta)
-    P = np.linalg.inv(np.column_stack([u1, u2]))
-    cols = np.zeros((4, 4))
     img = np.array([[1.0, 0.0, 0.0, 0.0],
                     [0.0, 0.0, 0.0, 1.0],
                     [0.0, -eta, 0.0, 0.0],
                     [0.0, 0.0, 1.0, 0.0]])
-    for half in (0, 1):
-        for col in (0, 1):
-            e = np.zeros(2)
-            e[col] = 1.0
-            coords = P @ e
-            cols[:, 2 * half + col] = (coords[0] * img[2 * half]
-                                       + coords[1] * img[2 * half + 1])
-    return cols, sig
+    # coefficient columns of the standard basis: inverse coordinates in (u1, u2)
+    P = np.linalg.inv(np.column_stack([u1, u2]))
+    return np.hstack([img[:2].T @ P, img[2:].T @ P]), sig

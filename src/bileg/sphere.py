@@ -357,6 +357,11 @@ def horizontal_lift(curve, axis, side, start, step=1e-3):
     a = _unit_axis(axis)
     xi = quat.from_vec3(a)
     g0 = _as_quat4(start, "start")
+    size = float(np.abs(g0).max())
+    if size == 0.0:
+        raise ValidationError("start must be nonzero")
+    if not 1e-150 < size < 1e150:
+        g0 = g0 / size  # keeps |g0|^2 inside the float range
     g0 = g0 / quat.norm(g0)
 
     spl = _curve_spline(curve)
@@ -366,7 +371,7 @@ def horizontal_lift(curve, axis, side, start, step=1e-3):
         raise PreconditionError(
             f"curve must have unit (b/4) speed, deviation {worst:.3e}"
         )
-    if np.linalg.norm(hopf(a, side, g0) - curve.samples[0]) > 1e-8:
+    if not np.linalg.norm(hopf(a, side, g0) - curve.samples[0]) <= 1e-8:
         raise PreconditionError("start does not project to the curve start")
 
     t0, t1 = float(curve.params[0]), float(curve.params[-1])

@@ -93,6 +93,15 @@ class TestLift:
         assert cli.main(["lift", "--curve", spec, "--step", step]) == 2
         assert "more than 1048576 steps" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("start, message", [
+        ("nan,0,0,0", "start must be finite"), ("1,-inf,0,0", "start must be finite"),
+        ("1e308,1e308,0,0", "squared norm overflows"),
+        ("1e200,0,0,1e200", "squared norm overflows")])
+    def test_non_finite_or_overflowing_start_exits_2(self, tmp_path, capsys, start, message):
+        spec = _great_circle_spec(tmp_path)
+        assert cli.main(["lift", "--curve", spec, f"--start={start}"]) == 2
+        assert message in capsys.readouterr().err
+
     def test_wrong_start_exits_3(self, tmp_path, capsys):
         spec = _great_circle_spec(tmp_path)
         assert cli.main(["lift", "--curve", spec, "--start", "0,0,1,0"]) == 3
@@ -428,6 +437,19 @@ class TestExport:
         # a pole given with a leading minus sign is a value, not an option
         assert cli.main(["export", "--in", str(surface),
                          "--pole", "-0.8,0,0.6,0", "--out", str(mesh)]) == 0
+
+    @pytest.mark.parametrize("pole, message", [
+        ("inf,0,0,0", "pole must be finite"), ("0,nan,0,0", "pole must be finite"),
+        ("1e308,1e308,0,0", "squared norm overflows"), ("0,0,-1e160,0", "squared norm overflows")])
+    def test_non_finite_or_overflowing_pole_exits_2(self, tmp_path, capsys, pole, message):
+        spec = _clifford_spec(tmp_path, n=17)
+        surface = tmp_path / "surface.json"
+        mesh = tmp_path / "mesh.obj"
+        assert cli.main(["construct", "--spec", spec, "--out", str(surface)]) == 0
+        assert cli.main(["export", "--in", str(surface), f"--pole={pole}",
+                         "--out", str(mesh)]) == 2
+        assert message in capsys.readouterr().err
+        assert not mesh.exists()
 
     def test_pole_on_surface_exits_3(self, tmp_path, capsys):
         spec = _clifford_spec(tmp_path, t_range=(0.0, 2 * math.pi), n=17)

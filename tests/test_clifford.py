@@ -550,6 +550,13 @@ def test_signature_sign_rule_and_from_form():
         Signature2(1, 0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_from_form_rejects_non_finite_forms(bad):
+    for b2 in ([[bad, 0], [0, 1]], [[1, 0], [0, bad]], [[1, bad], [bad, 1]]):
+        with pytest.raises(ValidationError, match="finite"):
+            Signature2.from_form(b2)
+
+
 def test_signature_mismatch_rejected():
     x = element(Signature2(1, 1), 1, 0, 0, 0)
     y = element(Signature2(1, -1), 1, 0, 0, 0)

@@ -422,3 +422,304 @@ def test_base_point_and_contact_validation():
         AmbientForm4((1, 1, 1, 0), -1)
     with pytest.raises(ValidationError):
         AmbientForm4((1, 1, 1, 1), 2)
+
+
+@pytest.mark.parametrize("bad", [1.5, 0.5, 0, 2, np.nan, np.inf, "1"])
+def test_eta_must_be_exactly_plus_or_minus_one(bad):
+    p = BasePoint(EUCLIDEAN, (1, 0, 0, 0), (0, 0, 0, 1))
+    X = ContactVector(p, (0, 1, 0, 0), (0, 1, 0, 0))
+    with pytest.raises(ValidationError, match="eta"):
+        frame_at(p, eta=bad)
+    with pytest.raises(ValidationError, match="eta"):
+        curvature_pairing(p, X, eta=bad)
+    with pytest.raises(ValidationError, match="eta"):
+        clifford_isomorphism(np.eye(2), bad, [1.0, 0.0])
+    assert frame_at(p, eta=1.0).eta == 1 and frame_at(p, eta=np.int64(-1)).eta == -1
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_clifford_isomorphism_rejects_non_finite_input(bad):
+    for b2, v in (([[bad, 0], [0, 1]], [1, 0]), ([[1, bad], [bad, 1]], [1, 0]),
+                  (np.eye(2), [bad, 0]), (np.eye(2), [1, bad])):
+        with pytest.raises(ValidationError, match="finite"):
+            clifford_isomorphism(b2, 1, v)
+    with pytest.raises(ValidationError):
+        clifford_isomorphism(np.eye(2), 1, [1.0, 0.0, 0.0])
+
+
+# The np.block, per-leg and per-column forms that the Kronecker table and the
+# one-evaluation-per-stencil-time residual replaced, kept as references; the
+# rewrites must equal them exactly (np.array_equal: up to the sign of a zero).
+
+def _ref_operator8(fr, name):
+    A, eta = fr.A, fr.eta
+    I4 = np.eye(4)
+    Z = np.zeros((4, 4))
+    if name == "I":
+        return np.block([[Z, I4], [-eta * I4, Z]])
+    if name == "J":
+        return np.block([[Z, eta * A], [A, Z]])
+    if name == "K":
+        return np.block([[A, Z], [Z, -A]])
+    if name == "alpha":
+        return np.block([[I4, Z], [Z, -I4]])
+    raise ValidationError(f"unknown operator: {name!r}")
+
+
+def _ref_gram8(fr, name):
+    B = fr.point.form.matrix
+    eta = fr.eta
+    Z = np.zeros((4, 4))
+    if name == "g":
+        return np.block([[B, Z], [Z, eta * B]])
+    if name == "ghat":
+        return np.block([[B, Z], [Z, -eta * B]])
+    if name == "omega_i":
+        return np.block([[Z, B], [-B, Z]])
+    if name == "omega_k":
+        return _ref_gram8(fr, "g") @ _ref_operator8(fr, "K")
+    raise ValidationError(f"unknown pairing: {name!r}")
+
+
+def _ref_w_project(p, v):
+    v = np.asarray(v, dtype=float).reshape(8)
+    b = p.form.b
+    x, y = p.xv, p.yv
+    out = np.empty(8)
+    for half in (0, 1):
+        leg = v[4 * half:4 * half + 4]
+        leg = leg - (b(leg, x) / b(x, x)) * x - (b(leg, y) / b(y, y)) * y
+        out[4 * half:4 * half + 4] = leg
+    return ContactVector(p, tuple(out[:4]), tuple(out[4:]))
+
+
+def _ref_curvature_pairing(p, X, eta=None):
+    eta = p.form.eta if eta is None else int(eta)
+    fr = frame_at(p, eta)
+    b = p.form.b
+    xi = np.array(X.xi)
+    mu = np.array(X.mu)
+    legs = np.column_stack([xi, mu])
+    sv = np.linalg.svd(legs, compute_uv=False)
+    if sv[1] > 1e-8 * max(sv[0], 1.0):
+        raise PreconditionError("legs of X must be colinear")
+    x, y = p.xv, p.yv
+    lam_x = np.sqrt(abs(b(x, x)))
+    lam_y = np.sqrt(abs(b(y, y)))
+    s_x = np.sign(b(x, x))
+    s_y = np.sign(b(y, y))
+    eps_i = (s_x, s_y, eta * s_x, eta * s_y)
+
+    def B_i(idx, U, V):
+        u1, u2 = U[:4], U[4:]
+        v1, v2 = V[:4], V[4:]
+        if idx == 0:
+            return -b(u1, v1) / lam_x
+        if idx == 1:
+            return -b(u2, v1) / lam_y
+        if idx == 2:
+            return -eta * b(u1, v2) / lam_x
+        return -eta * b(u2, v2) / lam_y
+
+    X8 = X.vec8
+    JX = _ref_operator8(fr, "J") @ X8
+    KX = _ref_operator8(fr, "K") @ X8
+    lhs = 0.0
+    for idx in range(4):
+        lhs += eps_i[idx] * (B_i(idx, JX, X8) * B_i(idx, X8, KX)
+                             - B_i(idx, X8, X8) * B_i(idx, JX, KX))
+
+    norm_p = b(x, x) + eta * b(y, y)
+    G = _ref_gram8(fr, "ghat")
+    IX = _ref_operator8(fr, "I") @ X8
+    ghat_XIX = float(X8 @ G @ ContactVector(p, tuple(IX[:4]), tuple(IX[4:])).vec8)
+    ghat_XX = float(X8 @ G @ X8)
+    rhs = (-fr.eps * norm_p / (2.0 * b(x, x) * b(y, y))) * ghat_XIX * ghat_XX
+    return float(lhs), float(rhs)
+
+
+def _ref_clifford_isomorphism(b2, eta, v):
+    b2 = np.asarray(b2, dtype=float)
+    eta = int(eta)
+    v = np.asarray(v, dtype=float)
+    nv = v @ b2 @ v
+    u1 = v / np.sqrt(nv)
+    w = np.array([-(b2 @ u1)[1], (b2 @ u1)[0]])
+    nw = w @ b2 @ w
+    u2 = w / np.sqrt(abs(nw))
+    P = np.linalg.inv(np.column_stack([u1, u2]))
+    cols = np.zeros((4, 4))
+    img = np.array([[1.0, 0.0, 0.0, 0.0],
+                    [0.0, 0.0, 0.0, 1.0],
+                    [0.0, -eta, 0.0, 0.0],
+                    [0.0, 0.0, 1.0, 0.0]])
+    for half in (0, 1):
+        for col in (0, 1):
+            e = np.zeros(2)
+            e[col] = 1.0
+            coords = P @ e
+            cols[:, 2 * half + col] = (coords[0] * img[2 * half]
+                                       + coords[1] * img[2 * half + 1])
+    return cols, int(np.sign(nw))
+
+
+def _ref_covariant_constancy_residual(form, path, fields, tensor, t0=0.0, h=1e-3):
+    operator = tensor in ("I", "J", "K", "alpha")
+
+    def point_at(t):
+        x, y = path(t)
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        return BasePoint(form, tuple(x), tuple(y))
+
+    p0 = point_at(t0)
+    fr0 = frame_at(p0)
+
+    def section8(fn, t):
+        cv = fn(t)
+        if isinstance(cv, ContactVector):
+            return cv.vec8
+        return np.asarray(cv, dtype=float).reshape(8)
+
+    def residual_at(step):
+        nabla = []
+        for fn in fields:
+            ds = (section8(fn, t0 + step) - section8(fn, t0 - step)) / (2 * step)
+            nabla.append(_ref_w_project(p0, ds).vec8)
+        if operator:
+            def image(t):
+                fr = frame_at(point_at(t))
+                return _ref_operator8(fr, tensor) @ section8(fields[0], t)
+            dimg = (image(t0 + step) - image(t0 - step)) / (2 * step)
+            return _ref_w_project(p0, dimg).vec8 - _ref_operator8(fr0, tensor) @ nabla[0]
+
+        def value(t):
+            fr = frame_at(point_at(t))
+            s = section8(fields[0], t)
+            u = section8(fields[1], t)
+            return s @ _ref_gram8(fr, tensor) @ u
+        dval = (value(t0 + step) - value(t0 - step)) / (2 * step)
+        G0 = _ref_gram8(fr0, tensor)
+        s0 = section8(fields[0], t0)
+        u0 = section8(fields[1], t0)
+        corr = nabla[0] @ G0 @ u0 + s0 @ G0 @ nabla[1]
+        return np.atleast_1d(dval - corr)
+
+    r_h = residual_at(h)
+    r_h2 = residual_at(h / 2)
+    extrapolated = (4.0 * r_h2 - r_h) / 3.0
+    residual = float(np.linalg.norm(extrapolated))
+    vel = (np.concatenate(path(t0 + h)) - np.concatenate(path(t0 - h))) / (2 * h)
+    in_w = np.linalg.norm(vel - _ref_w_project(p0, vel).vec8) <= 1e-6 * max(
+        1.0, np.linalg.norm(vel))
+    return residual, bool(in_w)
+
+
+def test_structure_tensors_equal_block_reference():
+    rng = np.random.default_rng(40)
+    for form in FORMS:
+        for eta in (1, -1):
+            for _ in range(6):
+                fr = frame_at(random_point(rng, form), eta)
+                for name in ("I", "J", "K", "alpha"):
+                    assert np.array_equal(fr.operator8(name), _ref_operator8(fr, name)), name
+                for name in ("g", "ghat", "omega_i", "omega_k"):
+                    assert np.array_equal(fr.gram8(name), _ref_gram8(fr, name)), name
+    for name in ("g", "omega_k", "shape"):
+        with pytest.raises(ValidationError, match="unknown operator"):
+            fr.operator8(name)
+    for name in ("I", "alpha", "shape"):
+        with pytest.raises(ValidationError, match="unknown pairing"):
+            fr.gram8(name)
+
+
+def test_w_project_equals_looped_reference():
+    rng = np.random.default_rng(41)
+    for form in FORMS:
+        for _ in range(20):
+            p = random_point(rng, form)
+            v = rng.standard_normal(8) * rng.uniform(0.1, 10.0)
+            got, want = w_project(p, v.reshape(2, 4)), _ref_w_project(p, v)
+            assert np.array_equal(got.vec8, want.vec8)
+
+
+def test_curvature_pairing_equals_reference():
+    rng = np.random.default_rng(42)
+    for form in FORMS:
+        for eta in (1, -1):
+            done = 0
+            while done < 15:
+                p = random_point(rng, form)
+                X = _colinear_contact_vector(rng, p, scale=tuple(rng.standard_normal(2)))
+                if X is None:
+                    continue
+                assert curvature_pairing(p, X, eta=eta) == _ref_curvature_pairing(p, X, eta)
+                done += 1
+
+
+def test_clifford_isomorphism_equals_reference():
+    rng = np.random.default_rng(43)
+    for _ in range(60):
+        b2 = rng.standard_normal((2, 2))
+        b2 = b2 + b2.T
+        v = rng.standard_normal(2)
+        for eta in (1, -1):
+            try:
+                phi, sig = clifford_isomorphism(b2, eta, v)
+            except PreconditionError:
+                continue
+            want, sigma2 = _ref_clifford_isomorphism(b2, eta, v)
+            assert np.array_equal(phi, want)
+            assert (sig.s1, sig.s2) == (eta, eta * sigma2)
+
+
+def _test_paths(rng, form):
+    """A path whose velocity lies in W, and one whose velocity leaves it."""
+    f, s = _orthonormal_frame(rng, form)
+    xpath = _rotation_path(form, f, s, (0, 1))
+    ypath = _rotation_path(form, f, s, (2, 3))
+    yield lambda t: (xpath(t), ypath(1.3 * t))
+    S = np.zeros((4, 4))
+    S[0, 1], S[1, 0], S[0, 3], S[3, 0] = 1.0, -1.0, 0.7, -0.7
+    Om = np.linalg.inv(form.matrix) @ S
+    yield lambda t: (expm(t * Om) @ f[0], expm(t * Om) @ f[3])
+
+
+def test_covariant_constancy_equals_reference():
+    rng = np.random.default_rng(44)
+    for form in FORMS:
+        for path in _test_paths(rng, form):
+            coeffs = rng.standard_normal((2, 8))
+            sections = [lambda t, c=c: w_project(BasePoint(form, *map(tuple, path(t))), c)
+                        for c in coeffs]
+            for tensor in TENSORS:
+                fields = sections[:1] if tensor in ("I", "J", "K", "alpha") else sections
+                got = covariant_constancy_residual(form, path, fields, tensor, t0=0.2, h=1e-3)
+                want = _ref_covariant_constancy_residual(form, path, fields, tensor,
+                                                         t0=0.2, h=1e-3)
+                assert got == want, tensor
+
+
+def test_covariant_constancy_evaluates_each_stencil_time_once():
+    """The path and every section are called once at each of t0, t0 -+ h, t0 -+ h/2."""
+    rng = np.random.default_rng(45)
+    form = LORENTZIAN
+    path = next(_test_paths(rng, form))
+    t0, h = 0.2, 1e-3
+    stencil = sorted([t0, t0 - h, t0 + h, t0 - h / 2, t0 + h / 2])
+    for tensor in TENSORS:
+        calls = {"path": []}
+
+        def counted(name, fn):
+            calls[name] = []
+            return lambda t: calls[name].append(t) or fn(t)
+
+        traced = counted("path", path)
+        fields = [counted(k, lambda t, c=c: w_project(BasePoint(form, *map(tuple, path(t))), c))
+                  for k, c in enumerate(rng.standard_normal((2, 8)))]
+        if tensor in ("I", "J", "K", "alpha"):
+            fields = fields[:1]
+            del calls[1]
+        covariant_constancy_residual(form, traced, fields, tensor, t0=t0, h=h)
+        for name, times in calls.items():
+            assert sorted(times) == stencil, (tensor, name, times)

@@ -245,6 +245,21 @@ def test_lift_validation():
         horizontal_lift(const, I3, "left", start)
 
 
+def test_lift_start_is_normalized_without_overflow():
+    """A finite start of any size is read as its direction; a zero start is refused."""
+    curve = _great_circle_curve(n=2001)
+    unit = horizontal_lift(curve, I3, "left", np.array([1.0, 0, 0, 0]), step=1e-2)
+    for size in (1e200, 1e-200, -1e300):
+        lift = horizontal_lift(curve, I3, "left", np.array([size, 0, 0, 0]), step=1e-2)
+        np.testing.assert_array_equal(lift.samples, np.sign(size) * unit.samples)
+        assert np.isfinite(lift.tracking_residual)
+    with pytest.raises(PreconditionError, match="project"):
+        # the direction (1 + k)/sqrt(2) lies over j, not over the curve start i
+        horizontal_lift(curve, I3, "left", np.array([1e200, 0, 0, 1e200]))
+    with pytest.raises(ValidationError, match="nonzero"):
+        horizontal_lift(curve, I3, "left", np.zeros(4))
+
+
 def test_signed_area_latitudes():
     for phi in (0.6, math.pi / 3, 2.0):
         lat = latitude_circle(I3, phi, n=16384)
