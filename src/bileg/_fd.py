@@ -29,6 +29,24 @@ def finite(value, name):
     return value
 
 
+def norm_and_unit(v):
+    """(|v|, v / |v|) of a finite nonzero vector, (0.0, v) of a zero one.
+
+    A vector whose largest component lies outside (1e-150, 1e150) is first
+    divided by that component, so |v|^2 neither overflows nor underflows.
+    """
+    v = np.asarray(v, dtype=float)
+    size = float(np.abs(v).max())
+    if size == 0.0:
+        return 0.0, v
+    if 1e-150 < size < 1e150:
+        n = float(np.linalg.norm(v))
+        return n, v / n
+    w = v / size
+    n = float(np.linalg.norm(w))
+    return size * n, w / n
+
+
 def axis_array(x, name):
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 1 or arr.size < 2:

@@ -21,9 +21,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import RectBivariateSpline
 
 from ._fd import axis_array, cross4, d_uniform, require_finite, uniform_step
+from ._spline import TensorSpline
 from .errors import PreconditionError, ValidationError
 
 H3_SIGMA = np.array([1.0, 1.0, 1.0, -1.0])
@@ -486,8 +486,8 @@ def hazzidaki(tg, tol=1e-9):
     hx, hy = tg.steps
     P = d_uniform(d_uniform(tg.theta, hx, 0), hx, 0) \
         - d_uniform(d_uniform(tg.theta, hy, 1), hy, 1)
-    spl_p = RectBivariateSpline(tg.x, tg.y, P)
-    spl_t = RectBivariateSpline(tg.x, tg.y, tg.theta)
+    spl_p = TensorSpline(tg.x, tg.y, P)
+    spl_t = TensorSpline(tg.x, tg.y, tg.theta)
 
     n = max(len(tg.x), len(tg.y))
     u = np.linspace(-R, R, n)

@@ -39,10 +39,8 @@ from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-
-from . import factory, quat, sphere
-from ._fd import finite
+from . import _spline, factory, quat, sphere
+from ._fd import finite, norm_and_unit
 from .errors import BilegError, PreconditionError, ValidationError
 
 FORMAT_VERSION = "bileg/1"
@@ -132,9 +130,10 @@ def _parse_axis(text):
         a = np.array([float(p) for p in parts])
     except ValueError:
         raise ValidationError(f"axis must be numeric, got {text!r}") from None
-    n = np.linalg.norm(a)
+    _require(np.isfinite(a).all(), f"axis must be finite, got {text!r}")
+    n, unit = norm_and_unit(a)
     _require(n > 1e-9, "axis must be nonzero")
-    return a / n
+    return unit
 
 
 def _parse_quat(text, name="quaternion"):
@@ -153,10 +152,9 @@ def _parse_quat(text, name="quaternion"):
 
 
 def _unit3(values, name):
-    a = np.asarray(_float_list(values, name, 3))
-    n = np.linalg.norm(a)
+    n, unit = norm_and_unit(_float_list(values, name, 3))
     _require(n > 1e-9, f"{name} must be nonzero")
-    return a / n
+    return unit
 
 
 @dataclass
@@ -383,7 +381,7 @@ def _decode_factor(data, name):
         pts = _float_array(data.get("points"), f"{name}.points")
         _require(t.ndim == 1 and pts.shape == (len(t), 4),
                  f"{name} samples need matching t and (N, 4) points")
-        spl = CubicSpline(t, pts)
+        spl = _spline.cubic(t, pts)
         return spl, spl.derivative()
     raise ValidationError(f"unknown factor kind {kind!r} in {name}")
 

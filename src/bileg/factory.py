@@ -43,9 +43,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
-from . import quat, sphere
+from . import _spline, quat, sphere
 from ._fd import axis_array as _axis_array
 from ._fd import d_uniform as _d_uniform
 from ._fd import det4
@@ -373,8 +372,8 @@ def factorize(grid, tol=1e-6):
             f"the grid is not a two-factor product: reconstruction residual {residual:.3e}"
         )
 
-    spl1 = CubicSpline(grid.x1, G1)
-    spl2 = CubicSpline(grid.x2, G2)
+    spl1 = _spline.cubic(grid.x1, G1)
+    spl2 = _spline.cubic(grid.x2, G2)
     return Factorization(
         a, b, spl1, spl2, spl1.derivative(), spl2.derivative(),
         t1_range=(float(grid.x1[0]), float(grid.x1[-1])),
@@ -802,8 +801,8 @@ def from_theta(theta0, f, g, x1, x2, step=1e-3):
                                     F0_1, lo1, hi1, step)
     ts2, G2, T2 = _integrate_frenet(lambda t: 2.0 * _sample_potential(g, t), 1.0,
                                     F0_2, lo2, hi2, step)
-    spl_g1, spl_t1 = CubicSpline(ts1, G1), CubicSpline(ts1, T1)
-    spl_g2, spl_t2 = CubicSpline(ts2, G2), CubicSpline(ts2, T2)
+    spl_g1, spl_t1 = _spline.cubic(ts1, G1), _spline.cubic(ts1, T1)
+    spl_g2, spl_t2 = _spline.cubic(ts2, G2), _spline.cubic(ts2, T2)
     return construct(
         quat.ONE, quat.QK, spl_g1, spl_g2, x1, x2,
         dgamma1=spl_t1, dgamma2=spl_t2,
@@ -901,8 +900,8 @@ def torus_ansatz(a, b, c1, c2, n1=65, n2=65, step=1e-3,
     q1 = (-h1.q) % 1.0
     q2 = (-h2.q) % 1.0
 
-    spl1 = CubicSpline(lift1.params, lift1.samples)
-    spl2 = CubicSpline(lift2.params, lift2.samples)
+    spl1 = _spline.cubic(lift1.params, lift1.samples)
+    spl2 = _spline.cubic(lift2.params, lift2.samples)
     x1 = np.linspace(0.0, p1, n1)
     x2 = np.linspace(0.0, p2, n2)
     grid = construct(
@@ -1130,8 +1129,8 @@ def flat_torus_criteria(grid, lattice, tol=1e-5):
     for t, p, name in ((fr1.t, lattice.p1, "x1"), (fr2.t, lattice.p2, "x2")):
         if t[0] > 1e-9 or t[-1] < p - 1e-9:
             raise ValidationError(f"the {name} range must cover one full period [0, p]")
-    k1 = float(CubicSpline(fr1.t, fr1.kappa).integrate(0.0, lattice.p1))
-    k2 = float(CubicSpline(fr2.t, fr2.kappa).integrate(0.0, lattice.p2))
+    k1 = float(_spline.cubic(fr1.t, fr1.kappa).integrate(0.0, lattice.p1))
+    k2 = float(_spline.cubic(fr2.t, fr2.kappa).integrate(0.0, lattice.p2))
     half = (2 * lattice.q1).denominator == 1 and (2 * lattice.q2).denominator == 1
     immersed, margin = projection_immersion_test(angle)
     satisfied = half and immersed and max(abs(k1), abs(k2)) <= max(tol, 1e-8)

@@ -12,6 +12,13 @@ rotation number of a lift over one base period is read off the fiber
 circle, and matches minus (left) or plus (right) the enclosed area over
 4 pi.
 
+Every curve is read through its cubic spline (`_spline`: knot slopes by
+cyclic reduction, Hockney 1965).  `reparametrize` and `gauss_bonnet_check`
+share one arc-length table per curve: the length of each spline interval by
+5-point Gauss-Legendre quadrature on that interval, where the speed is smooth
+(Guenter and Parent, IEEE CG&A 10(3), 1990), and s(t) inverted by Newton's
+method inside the interval that holds each target length.
+
 Quaternions are float arrays [w, x, y, z]; sphere points are the imaginary
 triples [x, y, z].  Both match the coefficient order of `CliffordElement`
 in the definite signature.
@@ -21,9 +28,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-
-from . import quat
+from . import _spline, quat
+from ._fd import norm_and_unit as _norm_and_unit
 from ._fd import prefix_products as _prefix_products
 from ._fd import require_finite as _require_finite
 from .errors import PreconditionError, ValidationError
@@ -32,6 +38,18 @@ _TWO_PI = 2.0 * math.pi
 _FOUR_PI = 4.0 * math.pi
 
 SIDES = ("left", "right")
+
+# 5-point Gauss-Legendre rule on [0, 1]
+_GL_ROOT = math.sqrt(10.0 / 7.0)
+_GL_NODES = 0.5 + 0.5 * np.array([-math.sqrt(5.0 + 2.0 * _GL_ROOT) / 3.0,
+                                  -math.sqrt(5.0 - 2.0 * _GL_ROOT) / 3.0, 0.0,
+                                  math.sqrt(5.0 - 2.0 * _GL_ROOT) / 3.0,
+                                  math.sqrt(5.0 + 2.0 * _GL_ROOT) / 3.0])
+_GL_WEIGHTS = 0.5 * np.array([322.0 - 13.0 * math.sqrt(70.0), 322.0 + 13.0 * math.sqrt(70.0),
+                              512.0, 322.0 + 13.0 * math.sqrt(70.0),
+                              322.0 - 13.0 * math.sqrt(70.0)]) / 900.0
+# the speed is sampled at the rule's nodes, then at both ends of the interval
+_OFFSETS = np.append(_GL_NODES, [0.0, 1.0])
 
 
 def _check_side(side):
@@ -66,10 +84,10 @@ def _unit_axis(axis):
     if arr.shape != (3,):
         raise ValidationError(f"axis must be a 3-vector, got shape {arr.shape}")
     _require_finite("axis", arr, nodes=1)
-    n = np.linalg.norm(arr)
+    n, unit = _norm_and_unit(arr)
     if abs(n - 1.0) > 1e-6:
         raise ValidationError(f"axis must be unit length, |axis| = {n:.3e}")
-    return arr / n
+    return unit
 
 
 def axis_frame(a):
@@ -118,7 +136,12 @@ def hopf_preimage(axis, point, side):
     _check_side(side)
     a = _unit_axis(axis)
     v = np.asarray(point, dtype=float)
-    v = v / np.linalg.norm(v)
+    if v.shape != (3,):
+        raise ValidationError(f"point must be a 3-vector, got shape {v.shape}")
+    _require_finite("point", v, nodes=1)
+    n, v = _norm_and_unit(v)
+    if n == 0.0:
+        raise ValidationError("point must be nonzero")
     c = float(np.dot(a, v))
     cross = np.cross(a, v)
     s = np.linalg.norm(cross)
@@ -144,12 +167,16 @@ class SphereCurve:
     params: strictly increasing parameter values, one per sample.
     closed: endpoints must then agree to 1e-9.
     b4_length: total (b/4)-arc length, set by `reparametrize`.
+
+    The arc-length table is built on first use and kept with the curve, so
+    the samples and params are not to be changed in place after that.
     """
 
     samples: np.ndarray
     params: np.ndarray
     closed: bool = False
     b4_length: float | None = None
+    _arc: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=float)
@@ -200,54 +227,77 @@ def _curve_spline(curve):
     if curve.closed:
         samples = samples.copy()
         samples[-1] = samples[0]
-        return CubicSpline(curve.params, samples, axis=0, bc_type="periodic")
-    return CubicSpline(curve.params, samples, axis=0)
+    return _spline.cubic(curve.params, samples, periodic=curve.closed)
 
 
-def _cumulative_simpson(t, w):
-    """Cumulative integral of samples w on the uniform grid t (even interval count)."""
-    h = t[1] - t[0]
-    out = np.zeros_like(w)
-    # interval pairs: Simpson to the even nodes, the 5/8/-1 rule to the odd ones
-    out[1::2] = (h / 12.0) * (5.0 * w[0:-1:2] + 8.0 * w[1::2] - w[2::2])
-    pair = (h / 3.0) * (w[0:-1:2] + 4.0 * w[1::2] + w[2::2])
-    out[2::2] = np.cumsum(pair)
-    out[3::2] += out[2:-1:2]
-    return out
+def _speed(cv, u):
+    """|c'| at the offsets u (..., T) into T spline intervals, by Horner on the
+    velocity coefficients cv of shape (3, 3, T): power, component, interval."""
+    v = cv[0][:, None] * u
+    v += cv[1][:, None]
+    v *= u
+    v += cv[2][:, None]
+    v *= v
+    return np.sqrt(v.sum(axis=0))
 
 
-def _arclength_tables(spl, t0, t1, intervals, scale):
-    m = 2 * max(1, (intervals + 1) // 2)
-    td = np.linspace(t0, t1, m + 1)
-    speed = scale * np.linalg.norm(spl(td, 1), axis=1)
-    return td, speed, _cumulative_simpson(td, speed)
+class _ArcLength:
+    """Unit-sphere arc length along a curve's spline, one table per curve.
+
+    knot_lengths[i] is the length from params[0] to params[i], summed from a
+    Gauss-Legendre rule on each spline interval; min_speed is the least
+    speed at the knots and the quadrature nodes.
+    """
+
+    def __init__(self, curve):
+        self.samples, self.params = curve.samples, curve.params
+        self.spline = _curve_spline(curve)
+        self.velocity = self.spline.derivative().c  # (power, component, interval)
+        self.widths = widths = np.diff(curve.params)
+        speed = _speed(self.velocity, np.multiply.outer(_OFFSETS, widths))
+        self.min_speed = float(speed.min())
+        self.knot_lengths = np.concatenate([[0.0], np.cumsum(widths * (_GL_WEIGHTS @ speed[:5]))])
+        self.length = float(self.knot_lengths[-1])
+
+    def points(self, s):
+        """Unit curve points at the arc lengths s, each found by Newton's method
+        on the length inside the interval that holds it."""
+        table = self.knot_lengths
+        i = np.clip(np.searchsorted(table, s, side="right") - 1, 0, len(table) - 2)
+        width = self.widths[i]
+        within = s - table[i]
+        u = width * within / (table[i + 1] - table[i])
+        cv = np.take(self.velocity, i, axis=-1)
+        for _ in range(3):
+            speed = _speed(cv, np.multiply.outer(_OFFSETS, u))
+            partial = u * (_GL_WEIGHTS @ speed[:5])
+            u = np.clip(u - (partial - within) / np.maximum(speed[-1], 1e-12), 0.0, width)
+        c = _spline.horner(np.take(self.spline.c, i, axis=-1), u).T
+        return c / np.linalg.norm(c, axis=1)[:, None]
 
 
-def _invert_arclength(spl, td, s, targets, scale):
-    s_of_t = CubicSpline(td, s)
-    t = np.interp(targets, s, td)
-    for _ in range(3):
-        speed = scale * np.linalg.norm(spl(t, 1), axis=1)
-        t = t - (s_of_t(t) - targets) / np.maximum(speed, 1e-12)
-        t = np.clip(t, td[0], td[-1])
-    return t
+def _arc_length(curve):
+    """The curve's arc-length table, built once while its arrays stay the same."""
+    arc = curve._arc
+    if arc is None or arc.samples is not curve.samples or arc.params is not curve.params:
+        arc = curve._arc = _ArcLength(curve)
+    return arc
 
 
 def reparametrize(curve, n=None):
-    """Resample to unit speed in the (S^2, b/4) metric, recording the total length."""
+    """Resample to unit speed in the (S^2, b/4) metric, recording the total length.
+
+    The (b/4) metric halves the unit-sphere length.
+    """
     n_out = len(curve) if n is None else int(n)
     if n_out < 2:
         raise ValidationError("need at least 2 output samples")
-    spl = _curve_spline(curve)
-    t0, t1 = curve.params[0], curve.params[-1]
-    td, speed, s = _arclength_tables(spl, t0, t1, 16 * (len(curve) - 1), 0.5)
-    if speed.min() < 1e-8:
+    arc = _arc_length(curve)
+    if 0.5 * arc.min_speed < 1e-8:
         raise PreconditionError("curve has a stationary segment, cannot reparametrize")
-    length = float(s[-1])
+    length = 0.5 * arc.length
     targets = np.linspace(0.0, length, n_out)
-    t = _invert_arclength(spl, td, s, targets, 0.5)
-    samples = spl(t)
-    samples /= np.linalg.norm(samples, axis=1)[:, None]
+    samples = arc.points(2.0 * targets)
     if curve.closed:
         samples[-1] = samples[0]
     return SphereCurve(samples, targets, closed=curve.closed, b4_length=length)
@@ -284,20 +334,19 @@ class HorizontalCurve:
         if abs(dt) < 1e-13:
             return self.samples[idx].copy()
         nodes = np.array([self.params[idx], self.params[idx] + 0.5 * dt, t])
-        w0, w_mid, w1 = _lift_generator(self._spline, nodes, self.side)
+        w0, w_mid, w1 = _lift_generator(self._spline(nodes), self._spline(nodes, 1), self.side)
         step = _rk4_propagators(w0, w_mid, w1, dt, self.side)
         return _apply(step, self.samples[idx], self.side)
 
 
-def _lift_generator(spl, t, side):
-    """W = c x c'/2 (left) or V = -c x c'/2 (right) at the parameters t.
+def _lift_generator(c, cdot, side):
+    """W = c x c'/2 (left) or V = -c x c'/2 (right) from the spline values c
+    (renormalized here) and velocities cdot.
 
     Over the curve c the left lift solves g' = W g and the right lift
     g' = g V; both are linear in g.
     """
-    c = spl(t)
-    c /= np.linalg.norm(c, axis=-1)[..., None]
-    w = 0.5 * np.cross(c, spl(t, 1))
+    w = 0.5 * np.cross(c / np.linalg.norm(c, axis=-1)[..., None], cdot)
     return quat.from_vec3(w if side == "left" else -w)
 
 
@@ -356,13 +405,9 @@ def horizontal_lift(curve, axis, side, start, step=1e-3):
         raise ValidationError(f"step must lie in (0, 0.1], got {step}")
     a = _unit_axis(axis)
     xi = quat.from_vec3(a)
-    g0 = _as_quat4(start, "start")
-    size = float(np.abs(g0).max())
+    size, g0 = _norm_and_unit(_as_quat4(start, "start"))
     if size == 0.0:
         raise ValidationError("start must be nonzero")
-    if not 1e-150 < size < 1e150:
-        g0 = g0 / size  # keeps |g0|^2 inside the float range
-    g0 = g0 / quat.norm(g0)
 
     spl = _curve_spline(curve)
     speeds = 0.5 * np.linalg.norm(spl(curve.params, 1), axis=1)
@@ -378,18 +423,20 @@ def horizontal_lift(curve, axis, side, start, step=1e-3):
     n_steps = max(1, math.ceil((t1 - t0) / step))
     h = (t1 - t0) / n_steps
     grid = t0 + h * np.arange(n_steps + 1)
-    w = _lift_generator(spl, grid, side)
-    w_mid = _lift_generator(spl, grid[:-1] + 0.5 * h, side)
-    steps = _rk4_propagators(w[:-1], w_mid, w[1:], h, side)
+    # the curve at the grid nodes, then at the step midpoints
+    nodes = np.concatenate([grid, grid[:-1] + 0.5 * h])
+    c, cdot = spl(nodes), spl(nodes, 1)
+    w = _lift_generator(c, cdot, side)
+    steps = _rk4_propagators(w[:n_steps], w[n_steps + 1:], w[1:n_steps + 1], h, side)
     chained = _prefix_products(steps, lambda earlier, later: _apply(later, earlier, side))
     samples = np.empty((n_steps + 1, 4))
     samples[0] = g0
     samples[1:] = quat.normalize(_apply(chained, g0, side))
 
-    u = _body_velocity(samples[:-1], spl(grid[:-1], 1), xi, side)
+    u = _body_velocity(samples[:-1], cdot[:n_steps], xi, side)
     horiz = float(np.abs(u @ a).max())
     speed_dev = float(np.abs(np.linalg.norm(u, axis=1) - 1.0).max())
-    track = hopf(a, side, samples) - spl(grid)
+    track = hopf(a, side, samples) - c[:n_steps + 1]
     tracking = float(np.linalg.norm(track, axis=1).max())
     return HorizontalCurve(
         params=grid,
@@ -556,17 +603,13 @@ def gauss_bonnet_check(curve, n=None):
         raise ValidationError("curve is under-resolved, need at least 32 samples")
     m = max(1024, 2 * len(curve)) if n is None else int(n)
 
-    spl = _curve_spline(curve)
-    t0, t1 = curve.params[0], curve.params[-1]
-    td, speed, s = _arclength_tables(spl, t0, t1, 16 * (len(curve) - 1), 1.0)
-    if speed.min() < 1e-8:
+    arc = _arc_length(curve)
+    if arc.min_speed < 1e-8:
         raise PreconditionError("curve has a stationary segment")
-    length = float(s[-1])
+    length = arc.length
     # open grid of m nodes, spacing length/m, endpoint omitted (periodic wrap)
     targets = np.linspace(0.0, length, m, endpoint=False)
-    t = _invert_arclength(spl, td, s, targets, 1.0)
-    c = spl(t)
-    c /= np.linalg.norm(c, axis=1)[:, None]
+    c = arc.points(targets)
 
     h = length / m
     d1, d2 = _periodic_stencil(c, h)

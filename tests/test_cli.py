@@ -102,6 +102,20 @@ class TestLift:
         assert cli.main(["lift", "--curve", spec, f"--start={start}"]) == 2
         assert message in capsys.readouterr().err
 
+    def test_large_axis_is_read_as_its_direction(self, tmp_path, capsys):
+        spec = _great_circle_spec(tmp_path, samples=512)
+        assert cli.main(["lift", "--curve", spec, "--axis=1e200,0,0"]) == 0
+        np.testing.assert_array_equal(cli._parse_axis("1e200,0,0"), [1.0, 0.0, 0.0])
+        np.testing.assert_array_equal(cli._unit3([0, 0, 1e300], "axis"), [0.0, 0.0, 1.0])
+
+    @pytest.mark.parametrize("axis, message", [
+        ("nan,0,0", "axis must be finite"), ("0,inf,0", "axis must be finite"),
+        ("0,0,0", "axis must be nonzero"), ("0,1e-200,0", "axis must be nonzero")])
+    def test_non_finite_or_zero_axis_exits_2(self, tmp_path, capsys, axis, message):
+        spec = _great_circle_spec(tmp_path, samples=512)
+        assert cli.main(["lift", "--curve", spec, f"--axis={axis}"]) == 2
+        assert message in capsys.readouterr().err
+
     def test_wrong_start_exits_3(self, tmp_path, capsys):
         spec = _great_circle_spec(tmp_path)
         assert cli.main(["lift", "--curve", spec, "--start", "0,0,1,0"]) == 3

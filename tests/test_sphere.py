@@ -146,6 +146,27 @@ def test_hopf_preimage():
         np.testing.assert_allclose(hopf(I3, side, hopf_preimage(I3, -I3, side)), -I3, atol=1e-14)
 
 
+def test_hopf_preimage_rescales_large_points_and_refuses_zero():
+    """A point is read as its direction at any finite size; zero has none."""
+    k = np.array([0.0, 0.0, 1.0])
+    for side in ("left", "right"):
+        for size in (1e200, 1e-200, 1.0):
+            g = hopf_preimage(k, [size, 0.0, 0.0], side)
+            np.testing.assert_allclose(hopf(k, side, g), I3, atol=1e-14)
+        with pytest.raises(ValidationError, match="nonzero"):
+            hopf_preimage(k, [0.0, 0.0, 0.0], side)
+        with pytest.raises(ValidationError, match="finite"):
+            hopf_preimage(k, [np.nan, 0.0, 0.0], side)
+
+
+def test_axis_norm_does_not_overflow():
+    # the non-unit axis is refused with its true length, and no warning
+    with pytest.raises(ValidationError, match=r"\|axis\| = 1.000e\+200"):
+        hopf(np.array([1e200, 0.0, 0.0]), "left", quat.ONE)
+    with pytest.raises(ValidationError, match=r"\|axis\| = 0.000e\+00"):
+        hopf(np.zeros(3), "left", quat.ONE)
+
+
 def test_reparametrize_great_circle():
     # non-uniform sampling of a great circle still gives (b/4)-length pi
     s = np.linspace(0.0, 2 * math.pi, 3001)
