@@ -17,10 +17,10 @@ rows are not dominant, so each is first folded into its neighbour.  The
 periodic system is cyclic: two solves of a dominant tridiagonal system and a
 Sherman-Morrison correction give its solution.
 
-Evaluation finds each point's interval by floor((t - x0) / h) on uniform
-knots and by `searchsorted` otherwise, then runs Horner's rule on the
-gathered coefficients.  Points outside [x0, xn] use the end pieces; a
-periodic spline first wraps them into one period.
+Evaluation finds each point's interval by `searchsorted` on the interior
+knots, then runs Horner's rule on the gathered coefficients.  Points
+outside [x0, xn] use the end pieces; a periodic spline first wraps them
+into one period.  A NaN point evaluates to NaN.
 """
 
 import numpy as np
@@ -35,7 +35,6 @@ class Spline:
         self.x = x
         self.c = c
         self.periodic = periodic
-        self._h = _uniform_step(x)
         self._derivatives = {}
         # moves the point axis of an evaluation (last) to the front
         self._points_first = (c.ndim - 2,) + tuple(range(c.ndim - 2))
@@ -44,7 +43,7 @@ class Spline:
         x = self.x
         if self.periodic:
             t = x[0] + (t - x[0]) % (x[-1] - x[0])
-        return _locate(x, self._h, t)
+        return _locate(x, t)
 
     def __call__(self, t, nu=0):
         """Value (nu = 0) or nu-th derivative at the points t; shape t.shape + value shape."""
@@ -87,31 +86,11 @@ class Spline:
         return primitive(b) - primitive(a)
 
 
-def _uniform_step(x):
-    """The knot spacing when the knots are uniform up to rounding, else None."""
-    h = (x[-1] - x[0]) / (len(x) - 1)
-    return h if np.all(np.abs(np.diff(x) - h) <= 1e-12 * h) else None
-
-
-def _locate(x, h, t):
+def _locate(x, t):
     """Interval index i, with x[i] <= t < x[i+1] inside [x0, xn], and offset
-    t - x[i] of each point of the flat array t; h is `_uniform_step(x)`."""
-    if h is None:
-        i = np.searchsorted(x[1:-1], t, side="right")
-    else:
-        i = _clamp(np.floor((t - x[0]) / h), len(x) - 2).astype(np.intp)
-        # linspace knots are uniform up to rounding: step to the interval
-        # that searchsorted would give
-        i -= t < x[i]
-        i += t >= x[i + 1]
-        _clamp(i, len(x) - 2)
+    t - x[i] of each point of the flat array t."""
+    i = np.searchsorted(x[1:-1], t, side="right")
     return i, t - x[i]
-
-
-def _clamp(i, top):
-    """i clipped to [0, top] in place (np.clip costs more on small arrays)."""
-    np.maximum(i, 0, out=i)
-    return np.minimum(i, top, out=i)
 
 
 def horner(c, u):
@@ -289,14 +268,13 @@ class TensorSpline:
         c = _hermite(dx, x_rows(along_y.c[:, :nx]), x_rows(along_y.c[:, nx:]))
         # (power in x, power in y, cell), cell = y interval * (nx - 1) + x interval
         self._c = c.reshape(4, 4, -1)
-        self._x, self._hx = x, _uniform_step(x)
-        self._y, self._hy = along_y.x, along_y._h
+        self._x, self._y = x, along_y.x
 
     def ev(self, xi, yi):
         """Values at the points (xi, yi), broadcast together."""
         xi, yi = np.broadcast_arrays(np.asarray(xi, dtype=float), np.asarray(yi, dtype=float))
-        ix, ux = _locate(self._x, self._hx, xi.reshape(-1))
-        iy, uy = _locate(self._y, self._hy, yi.reshape(-1))
+        ix, ux = _locate(self._x, xi.reshape(-1))
+        iy, uy = _locate(self._y, yi.reshape(-1))
         c = np.take(self._c, iy * (len(self._x) - 1) + ix, axis=-1)
         # the x cubic gives each point's coefficients of its y cubic
         return horner(horner(c, ux), uy).reshape(xi.shape)

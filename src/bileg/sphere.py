@@ -14,10 +14,11 @@ circle, and matches minus (left) or plus (right) the enclosed area over
 
 Every curve is read through its cubic spline (`_spline`: knot slopes by
 cyclic reduction, Hockney 1965).  `reparametrize` and `gauss_bonnet_check`
-share one arc-length table per curve: the length of each spline interval by
-5-point Gauss-Legendre quadrature on that interval, where the speed is smooth
-(Guenter and Parent, IEEE CG&A 10(3), 1990), and s(t) inverted by Newton's
-method inside the interval that holds each target length.
+read arc length from one table over that spline (`_ArcLength`): the length
+of each spline interval by 5-point Gauss-Legendre quadrature on that
+interval, where the speed is smooth (Guenter and Parent, IEEE CG&A 10(3),
+1990), and s(t) inverted by Newton's method inside the interval that holds
+each target length.
 
 Quaternions are float arrays [w, x, y, z]; sphere points are the imaginary
 triples [x, y, z].  Both match the coefficient order of `CliffordElement`
@@ -167,16 +168,12 @@ class SphereCurve:
     params: strictly increasing parameter values, one per sample.
     closed: endpoints must then agree to 1e-9.
     b4_length: total (b/4)-arc length, set by `reparametrize`.
-
-    The arc-length table is built on first use and kept with the curve, so
-    the samples and params are not to be changed in place after that.
     """
 
     samples: np.ndarray
     params: np.ndarray
     closed: bool = False
     b4_length: float | None = None
-    _arc: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=float)
@@ -233,16 +230,11 @@ def _curve_spline(curve):
 def _speed(cv, u):
     """|c'| at the offsets u (..., T) into T spline intervals, by Horner on the
     velocity coefficients cv of shape (3, 3, T): power, component, interval."""
-    v = cv[0][:, None] * u
-    v += cv[1][:, None]
-    v *= u
-    v += cv[2][:, None]
-    v *= v
-    return np.sqrt(v.sum(axis=0))
+    return np.sqrt((_spline.horner(cv[:, :, None], u) ** 2).sum(axis=0))
 
 
 class _ArcLength:
-    """Unit-sphere arc length along a curve's spline, one table per curve.
+    """Unit-sphere arc length along a curve's spline.
 
     knot_lengths[i] is the length from params[0] to params[i], summed from a
     Gauss-Legendre rule on each spline interval; min_speed is the least
@@ -250,7 +242,6 @@ class _ArcLength:
     """
 
     def __init__(self, curve):
-        self.samples, self.params = curve.samples, curve.params
         self.spline = _curve_spline(curve)
         self.velocity = self.spline.derivative().c  # (power, component, interval)
         self.widths = widths = np.diff(curve.params)
@@ -276,14 +267,6 @@ class _ArcLength:
         return c / np.linalg.norm(c, axis=1)[:, None]
 
 
-def _arc_length(curve):
-    """The curve's arc-length table, built once while its arrays stay the same."""
-    arc = curve._arc
-    if arc is None or arc.samples is not curve.samples or arc.params is not curve.params:
-        arc = curve._arc = _ArcLength(curve)
-    return arc
-
-
 def reparametrize(curve, n=None):
     """Resample to unit speed in the (S^2, b/4) metric, recording the total length.
 
@@ -292,7 +275,7 @@ def reparametrize(curve, n=None):
     n_out = len(curve) if n is None else int(n)
     if n_out < 2:
         raise ValidationError("need at least 2 output samples")
-    arc = _arc_length(curve)
+    arc = _ArcLength(curve)
     if 0.5 * arc.min_speed < 1e-8:
         raise PreconditionError("curve has a stationary segment, cannot reparametrize")
     length = 0.5 * arc.length
@@ -603,7 +586,7 @@ def gauss_bonnet_check(curve, n=None):
         raise ValidationError("curve is under-resolved, need at least 32 samples")
     m = max(1024, 2 * len(curve)) if n is None else int(n)
 
-    arc = _arc_length(curve)
+    arc = _ArcLength(curve)
     if arc.min_speed < 1e-8:
         raise PreconditionError("curve has a stationary segment")
     length = arc.length

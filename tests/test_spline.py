@@ -54,6 +54,24 @@ def test_cubic_matches_scipy(n, jittered, periodic, shape):
         _close(got.integrate(a, b), want.integrate(a, b))
 
 
+@pytest.mark.parametrize("jittered", [False, True])
+@pytest.mark.parametrize("periodic", [False, True])
+def test_nan_point_gives_nan_as_scipy(jittered, periodic):
+    rng = np.random.default_rng(5)
+    x = _knots(33, jittered, rng)
+    y = np.sin(x)[:, None] * [1.0, 2.0]
+    if periodic:
+        y[-1] = y[0]
+    want = CubicSpline(x, y, bc_type="periodic" if periodic else "not-a-knot")
+    got = _spline.cubic(x, y, periodic=periodic)
+    t = np.array([0.4, np.nan, 1.3])
+    for nu in (0, 1):
+        value, reference = got(t, nu), want(t, nu)
+        np.testing.assert_array_equal(np.isnan(value), np.isnan(reference))
+        assert np.isnan(value[1]).all()
+        _close(value[[0, 2]], reference[[0, 2]])
+
+
 def test_two_and_three_knots_are_the_line_and_the_parabola():
     x = np.array([0.0, 0.5, 2.0])
     y = 1.0 - 2.0 * x + 3.0 * x * x
@@ -154,18 +172,6 @@ def test_arc_length_table_matches_the_simpson_reference(curve):
         unit = sphere.reparametrize(curve, n=n)
         assert abs(unit.b4_length - length) < 1e-9
         assert np.abs(unit.samples[:-1] - points[:-1]).max() < 1e-9
-
-
-def test_arc_length_table_is_kept_with_the_curve():
-    curve = sphere.latitude_circle([1.0, 0.0, 0.0], 1.1, n=512)
-    sphere.reparametrize(curve)
-    arc = curve._arc
-    sphere.gauss_bonnet_check(curve)
-    assert curve._arc is arc
-    # new arrays make a new table
-    curve.samples = curve.samples.copy()
-    sphere.gauss_bonnet_check(curve)
-    assert curve._arc is not arc
 
 
 def _run(code):
