@@ -49,6 +49,7 @@ from ._fd import axis_array as _axis_array
 from ._fd import d_uniform as _d_uniform
 from ._fd import det4
 from ._fd import finite as _finite
+from ._fd import norm_and_unit as _norm_and_unit
 from ._fd import prefix_products as _prefix_products
 from ._fd import require_finite as _require_finite
 from ._fd import stencil_rows as _stencil_rows
@@ -89,7 +90,7 @@ def _orthonormal_pair(a, b):
         if arr.shape != (4,):
             raise ValidationError(f"{name} must be a quaternion 4-array, got shape {arr.shape}")
         _require_finite(name, arr, nodes=1)
-        if abs(np.linalg.norm(arr) - 1.0) > 1e-9:
+        if abs(_norm_and_unit(arr)[0] - 1.0) > 1e-9:
             raise PreconditionError(f"{name} must be a unit quaternion")
     if abs(float(quat.dot(*pair))) > 1e-9:
         raise PreconditionError("a and b must be orthogonal")

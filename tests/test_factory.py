@@ -157,6 +157,9 @@ def test_factorization_validation():
         Factorization([np.nan, 0.0, 0.0, 1.0], quat.QK, G1, G2)
     with pytest.raises(ValidationError, match="b must be finite, first bad index 3"):
         Factorization(quat.ONE, [0.0, 0.0, 0.0, np.inf], G1, G2)
+    # |a|^2 overflows: refused as not unit, without an overflow warning
+    with pytest.raises(PreconditionError, match="a must be a unit quaternion"):
+        Factorization([1e200, 0.0, 0.0, 0.0], quat.QK, G1, G2)
 
 
 def test_immersion_grid_validation():
