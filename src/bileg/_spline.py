@@ -51,10 +51,14 @@ class Spline:
             if nu not in self._derivatives:
                 self._derivatives[nu] = self.derivative(nu)
             return self._derivatives[nu](t)
-        t = np.asarray(t, dtype=float)
-        i, u = self._locate(t.reshape(-1))
-        out = horner(np.take(self.c, i, axis=-1), u)
-        return out.transpose(self._points_first).copy().reshape(t.shape + self.c.shape[1:-1])
+        if type(t) is not np.ndarray or t.dtype != np.float64:
+            t = np.asarray(t, dtype=float)
+        i, u = self._locate(t if t.ndim == 1 else t.reshape(-1))
+        out = horner(self.c[..., i], u)
+        # the fresh result of a scalar spline already has its points first
+        if self.c.ndim > 2:
+            out = out.transpose(self._points_first).copy()
+        return out if t.ndim == 1 else out.reshape(t.shape + self.c.shape[1:-1])
 
     def derivative(self, nu=1):
         """The nu-th derivative as a spline of degree lower by nu."""

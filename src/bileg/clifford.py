@@ -13,8 +13,21 @@ exceptional ones where the auxiliary product ghat degenerates, and the
 principal vectors and principal lines carried by the regular ones.  Each
 plane is read through one orthonormal Gram-Schmidt frame Q and the 2x2
 matrix R = Q^T m_x Q, from which every test and classification follows.
+
+Numerics: an element is four Python floats, and the plane path works on
+them directly.  The frame Q (two coefficient 4-tuples) and its triangle T,
+m_x Q as two Clifford products, R, the ghat Gram matrices and the principal
+quadratic are sums of a few products, the 2x2 singular values and the
+eigen-split of the quadratic are closed forms, and the complex principal
+vectors are Python complex numbers.  On such sizes a numpy call costs more
+than its arithmetic, and no output here has to keep the bits of a numpy
+product: the plane tests are verdicts against thresholds well above
+rounding.  numpy stays in the public matrices (mx_matrix, g_matrix,
+PlaneSpan.matrix) and in principal_line and eigen_split.
 """
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -161,19 +174,22 @@ def _check_sig(x, y):
         raise ValidationError("signature mismatch")
 
 
+def _product(s1, s2, x, y):
+    """Coefficients of x*y for coefficient 4-tuples, from the table i^2 = -s1,
+    j^2 = -s2, i*j = k; with y = e_k this is column k of mx_matrix(x)."""
+    a, b, c, d = x
+    e, f, g, h = y
+    return (a * e - s1 * b * f - s2 * c * g - s1 * s2 * d * h,
+            a * f + b * e + s2 * (c * h - d * g),
+            a * g + c * e + s1 * (d * f - b * h),
+            a * h + d * e + (b * g - c * f))
+
+
 def mul(x, y):
     """Clifford product from the table i^2 = -s1, j^2 = -s2, i*j = k."""
     _check_sig(x, y)
-    s1, s2 = x.sig.s1, x.sig.s2
-    a, b, c, d = x.a, x.b, x.c, x.d
-    e, f, g, h = y.a, y.b, y.c, y.d
-    return CliffordElement(
-        a * e - s1 * b * f - s2 * c * g - s1 * s2 * d * h,
-        a * f + b * e + s2 * (c * h - d * g),
-        a * g + c * e + s1 * (d * f - b * h),
-        a * h + d * e + (b * g - c * f),
-        x.sig,
-    )
+    return CliffordElement(*_product(x.sig.s1, x.sig.s2, (x.a, x.b, x.c, x.d),
+                                     (y.a, y.b, y.c, y.d)), x.sig)
 
 
 def apply_involution(x, kind):
@@ -198,6 +214,64 @@ def inner_g(x, y):
 def inner_ghat(x, y):
     """ghat(x, y) = g(grade(x), y); flips the sign of g on odd elements."""
     return inner_g(x.grade(), y)
+
+
+def _dot(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2] + u[3] * v[3]
+
+
+def _ghat(sig, u, v):
+    """ghat(u, v) of coefficient 4-tuples: the diagonal of ghat_matrix(sig)."""
+    s1, s2 = sig.s1, sig.s2
+    return u[0] * v[0] - s1 * u[1] * v[1] - s2 * u[2] * v[2] + s1 * s2 * u[3] * v[3]
+
+
+def _combine(a, u, b, v):
+    """a u + b v of coefficient 4-tuples (or of complex ones)."""
+    return tuple([a * s + b * t for s, t in zip(u, v)])
+
+
+def _eigh2(a, b, c):
+    """Eigenvalues lam0 <= lam1 and unit eigenvectors (e0, e1) of [[a, b], [b, c]].
+
+    The rotation of LAPACK's dlaev2: the eigenvalue of larger size from the
+    trace and the discriminant, the other from the determinant, so that both
+    keep their relative accuracy.
+    """
+    sm, df, tb = a + c, a - c, b + b
+    rt = math.hypot(df, tb)
+    acmx, acmn = (a, c) if abs(a) > abs(c) else (c, a)
+    if sm != 0.0:
+        rt1 = 0.5 * (sm + math.copysign(rt, sm))
+        rt2 = (acmx / rt1) * acmn - (b / rt1) * b
+    else:
+        rt1, rt2 = 0.5 * rt, -0.5 * rt
+    # unit eigenvector (cs, sn) of rt1
+    cs = df + rt if df >= 0 else df - rt
+    if abs(cs) > abs(tb):
+        ct = -tb / cs
+        sn = 1.0 / math.sqrt(1.0 + ct * ct)
+        cs = ct * sn
+    elif tb == 0.0:
+        cs, sn = 1.0, 0.0
+    else:
+        tn = -cs / tb
+        cs = 1.0 / math.sqrt(1.0 + tn * tn)
+        sn = tn * cs
+    if (sm >= 0) == (df >= 0):
+        cs, sn = -sn, cs
+    if rt1 <= rt2:
+        return (rt1, rt2), ((cs, sn), (-sn, cs))
+    return (rt2, rt1), ((-sn, cs), (cs, sn))
+
+
+def _singular_values2(m00, m01, m10, m11):
+    """Singular values s0 >= s1 of a 2x2 matrix: s0 from the Frobenius norm
+    and the determinant, s1 = |det| / s0."""
+    det = abs(m00 * m11 - m01 * m10)
+    fro = m00 * m00 + m01 * m01 + m10 * m10 + m11 * m11
+    s0 = math.sqrt(0.5 * (fro + math.sqrt(max(fro * fro - 4.0 * det * det, 0.0))))
+    return s0, (det / s0 if s0 > 0 else 0.0)
 
 
 def _require_finite_element(w, name):
@@ -259,20 +333,26 @@ class PlaneSpan:
         # column is orthogonalized twice, which keeps Q orthonormal to working
         # precision however close the columns are (Giraud, Langou and
         # Rozloznik, Comput. Math. Appl. 50, 2005)
-        a, c = self.matrix().T
-        t00 = np.sqrt(a @ a)
-        q0 = a / t00 if t00 > 0 else a
-        t01 = q0 @ c
-        w = c - t01 * q0
-        d = q0 @ w
-        w = w - d * q0
-        t11 = np.sqrt(w @ w)
+        a = (self.u.a, self.u.b, self.u.c, self.u.d)
+        c = (self.v.a, self.v.b, self.v.c, self.v.d)
+        size = math.sqrt(_dot(a, a) + _dot(c, c))
+        if not 0.0 < size < math.inf:
+            raise ValidationError("span is degenerate")
+        a, c = tuple([t / size for t in a]), tuple([t / size for t in c])
+        t00 = math.sqrt(_dot(a, a))
+        q0 = tuple([t / t00 for t in a]) if t00 > 0 else a
+        t01 = _dot(q0, c)
+        w = _combine(1.0, c, -t01, q0)
+        d = _dot(q0, w)
+        w = _combine(1.0, w, -d, q0)
+        t11 = math.sqrt(_dot(w, w))
         # sv[1] / sv[0] of S from sv0 sv1 = |det T| and sv0^2 + sv1^2 = |T|^2 = 1
         det = t00 * t11
-        if not det > 1e-12 * (0.5 + np.sqrt(max(0.25 - det * det, 0.0))):
+        if not det > 1e-12 * (0.5 + math.sqrt(max(0.25 - det * det, 0.0))):
             raise ValidationError("span is degenerate")
-        object.__setattr__(self, "_frame", (np.column_stack([q0, w / t11]),
-                                            np.array([[t00, t01 + d], [0.0, t11]])))
+        # Q as its two columns, T = [[t00, t01], [0, t11]] as (t00, t01, t11)
+        object.__setattr__(self, "_frame", ((q0, tuple([t / t11 for t in w])),
+                                            (t00, t01 + d, t11)))
 
     @property
     def sig(self):
@@ -293,17 +373,22 @@ def _representation(P, x, tol=_TOL):
     S = Q T, lies within 100 tol of +Id or -Id.
     """
     _require_unit_imaginary(x, "x")
-    Q, T = P._frame
-    MQ = mx_matrix(x) @ Q
-    R = Q.T @ MQ
-    if not np.linalg.norm(MQ - Q @ R) <= tol * np.linalg.norm(MQ):
+    (q0, q1), (a, b, c) = P._frame
+    xc = (x.a, x.b, x.c, x.d)
+    m0, m1 = (_product(x.sig.s1, x.sig.s2, xc, q) for q in (q0, q1))
+    r00, r01, r10, r11 = _dot(q0, m0), _dot(q0, m1), _dot(q1, m0), _dot(q1, m1)
+    off = (_combine(r00, q0, r10, q1), _combine(r01, q0, r11, q1))
+    off = sum((s - t) ** 2 for m, o in zip((m0, m1), off) for s, t in zip(m, o))
+    if not math.sqrt(off) <= tol * math.sqrt(_dot(m0, m0) + _dot(m1, m1)):
         return None
-    (a, b), (_, c) = T
-    rep = np.array([[1.0 / a, -b / (a * c)], [0.0, 1.0 / c]]) @ R @ T
+    # T^-1 R T with T = [[a, b], [0, c]]
+    rt00, rt01, rt10, rt11 = r00 * a, r00 * b + r01 * c, r10 * a, r10 * b + r11 * c
+    shear = b / (a * c)
+    rep = (rt00 / a - shear * rt10, rt01 / a - shear * rt11, rt10 / c, rt11 / c)
     for lam in (1.0, -1.0):
-        if np.linalg.norm(rep - lam * np.eye(2)) <= 100 * tol:
+        if math.hypot(rep[0] - lam, rep[1], rep[2], rep[3] - lam) <= 100 * tol:
             return None
-    return Q, R
+    return (q0, q1), ((r00, r01), (r10, r11))
 
 
 def eigenspaces_of_mx(x):
@@ -347,7 +432,7 @@ def bilagrangian_test(P, y1, y2, tol=_TOL):
         _require_unit_imaginary(y, "y")
     if abs(inner_g(y1, y2)) > 1e-7:
         raise PreconditionError("y1, y2 must be g-orthogonal")
-    u, v = (from_coeffs(P.sig, q) for q in P._frame[0].T)
+    u, v = (CliffordElement(*q, P.sig) for q in P._frame[0])
     return (abs(omega_axis(y1, u, v)) <= tol
             and abs(omega_axis(y2, u, v)) <= tol)
 
@@ -364,21 +449,21 @@ def classify_plane(P, x, tol=_DEGEN_TOL):
     rep = _representation(P, x)
     if rep is None:
         raise PreconditionError("plane is not properly m_x-invariant")
-    Q, R = rep
-    T = P._frame[1]
-    Gh = ghat_matrix(P.sig)
+    (q0, q1), ((r00, r01), (r10, r11)) = rep
+    t00, t01, t11 = P._frame[1]
+    sig = P.sig
     # ghat on the span basis S = Q T
-    gram = T.T @ (Q.T @ Gh @ Q) @ T
-    if abs(gram[0, 0] * gram[1, 1] - gram[0, 1] * gram[1, 0]) > tol:
+    s0, s1 = _combine(t00, q0, 0.0, q1), _combine(t01, q0, t11, q1)
+    g00, g01, g11 = _ghat(sig, s0, s0), _ghat(sig, s0, s1), _ghat(sig, s1, s1)
+    if abs(g00 * g11 - g01 * g01) > tol:
         return REGULAR
     if inner_g(x, x) > 0:
         # degeneracy forces ghat to vanish identically on the plane
-        if np.max(np.abs(gram)) > 1e-6:
+        if max(abs(g00), abs(g01), abs(g11)) > 1e-6:
             raise PreconditionError("ghat degenerate but not identically zero")
-        odd = (Q @ T)[1:3, :]
-        osv = np.linalg.svd(odd, compute_uv=False)
-        if osv[1] <= 1e-8:
-            if P.sig.sign != -1:
+        # the odd rows of S
+        if _singular_values2(s0[1], s1[1], s0[2], s1[2])[1] <= 1e-8:
+            if sig.sign != -1:
                 raise PreconditionError("null-sum planes need an odd signature")
             return EXCEPTIONAL_NULL_SUM
         return EXCEPTIONAL_GRAPH
@@ -386,9 +471,13 @@ def classify_plane(P, x, tol=_DEGEN_TOL):
     # -1, the columns of R + lam Id span its eigenline of lam, and degeneracy
     # forces one of the two eigenlines to be ghat-null
     for lam in (1.0, -1.0):
-        E = R + lam * np.eye(2)
-        u4 = Q @ E[:, np.argmax(np.abs(E).sum(axis=0))]
-        if abs(u4 @ Gh @ u4) <= 1e-7 * (u4 @ u4):
+        # the column of R + lam Id with the larger absolute sum, the first on a tie
+        e00, e01, e10, e11 = r00 + lam, r01, r10, r11 + lam
+        if abs(e00) + abs(e10) >= abs(e01) + abs(e11):
+            u4 = _combine(e00, q0, e10, q1)
+        else:
+            u4 = _combine(e01, q0, e11, q1)
+        if abs(_ghat(sig, u4, u4)) <= 1e-7 * _dot(u4, u4):
             return EXCEPTIONAL_NULL_EIGENVECTOR
     raise PreconditionError("degenerate plane with no ghat-null eigenline")
 
@@ -401,34 +490,44 @@ def principal_vectors(P, x):
     """
     if classify_plane(P, x) != REGULAR:
         raise PreconditionError("principal vectors need a regular plane")
-    Q, R = _representation(P, x)
-    T = P._frame[1]
-    Gh = ghat_matrix(P.sig)
-    # h = ghat(., m_x .) on the span basis S = Q T, where m_x Q = Q R
-    H = T.T @ (Q.T @ Gh @ Q) @ R @ T
-    H = 0.5 * (H + H.T)
+    (q0, q1), ((r00, r01), (r10, r11)) = _representation(P, x)
+    t00, t01, t11 = P._frame[1]
+    sig = P.sig
+    # h = ghat(., m_x .) on the span basis S = Q T, where m_x Q = Q R: with
+    # G = Q^T ghat Q, H = T^T G R T
+    g00, g01, g11 = _ghat(sig, q0, q0), _ghat(sig, q0, q1), _ghat(sig, q1, q1)
+    gr00, gr01 = g00 * r00 + g01 * r10, g00 * r01 + g01 * r11
+    gr10, gr11 = g01 * r00 + g11 * r10, g01 * r01 + g11 * r11
+    grt00, grt01 = gr00 * t00, gr00 * t01 + gr01 * t11
+    grt10, grt11 = gr10 * t00, gr10 * t01 + gr11 * t11
+    h00 = t00 * grt00
+    h01, h10 = t00 * grt01, t01 * grt00 + t11 * grt10
+    h11 = t01 * grt01 + t11 * grt11
     # null directions of the quadratic via its eigen-frame: with H = E L E^T
     # the form reads l0 p^2 + l1 q^2, so p = +/- sqrt(-l1/l0) q
-    lam, E = np.linalg.eigh(H)
-    if np.min(np.abs(lam)) < 1e-12 * max(np.max(np.abs(lam)), 1.0):
+    (lam0, lam1), (e0, e1) = _eigh2(h00, 0.5 * (h01 + h10), h11)
+    if min(abs(lam0), abs(lam1)) < 1e-12 * max(abs(lam0), abs(lam1), 1.0):
         raise PreconditionError("principal quadratic is degenerate")
-    ratio = -lam[1] / lam[0]
+    ratio = -lam1 / lam0
     flag = "real" if ratio >= 0 else "complex"
     # sqrt(ratio) or i sqrt(-ratio)
-    root = np.sqrt(complex(ratio))
+    root = cmath.sqrt(ratio)
     out = []
-    for pq in (np.array([root, 1.0]), np.array([-root, 1.0])):
-        w = Q @ (T @ (E @ pq))
-        n2 = w @ Gh @ w
+    for p in (root, -root):
+        # w = Q T E (p, 1)
+        e = (p * e0[0] + e1[0], p * e0[1] + e1[1])
+        w = _combine(t00 * e[0] + t01 * e[1], q0, t11 * e[1], q1)
+        n2 = _ghat(sig, w, w)
         if abs(n2) < 1e-12:
             raise PreconditionError("principal direction is ghat-null")
-        w = w / np.sqrt(n2 if flag == "complex" else abs(n2))
-        for signed in (w, -w):
+        size = cmath.sqrt(n2) if flag == "complex" else math.sqrt(abs(n2))
+        w = tuple([t / size for t in w])
+        for signed in (w, tuple([-t for t in w])):
             if flag == "real":
-                out.append((from_coeffs(P.sig, signed.real), flag))
+                out.append((CliffordElement(*(t.real for t in signed), sig), flag))
             else:
-                out.append(((from_coeffs(P.sig, signed.real),
-                             from_coeffs(P.sig, signed.imag)), flag))
+                out.append(((CliffordElement(*(t.real for t in signed), sig),
+                             CliffordElement(*(t.imag for t in signed), sig)), flag))
     return out
 
 
@@ -481,6 +580,8 @@ class PseudoInvolutionMatrix:
         M = np.asarray(M, dtype=float)
         if M.shape != (4, 4):
             raise ValidationError("expected a 4x4 matrix")
+        if not np.isfinite(M).all():
+            raise ValidationError("matrix must be finite")
         M2 = M @ M
         eye = np.eye(4)
         if np.max(np.abs(M2 - eye)) <= tol:
@@ -536,6 +637,8 @@ def effective_pair_check(x, xp):
     metric volume form gives the basis (1, i, j, k) the orientation sign of
     the signature, which keeps the identity uniform across signatures.
     """
+    for w, name in ((x, "x"), (xp, "x'")):
+        _require_finite_element(w, name)
     for w in (x, xp):
         if abs(w.real) > 1e-9 * max(1.0, np.linalg.norm(w.coeffs)):
             raise PreconditionError("effective pairs need imaginary elements")

@@ -11,14 +11,25 @@ differentiation followed by projection along N = <(x,0),(y,0),(0,x),(0,y)>;
 every structure tensor is covariantly constant along W-directions, and the
 appendix-style curvature pairing has a closed form.  The quarter turn A of
 the contact plane is the Hodge dual of x^y scaled to an isometry.
+
+Numerics: every value here is a handful of flops on 4-vectors, where a numpy
+call costs more than its arithmetic.  So the pointwise values are formed on
+Python floats: b (a sum in index order, the order np.sum takes on four
+terms), the checks of BasePoint and ContactVector, the projection w_project,
+the six minors that give A, and the colinearity test of curvature_pairing.
+The 8x8 tensors stay numpy arrays, filled block by block, and every product
+with them stays a numpy `@`: OpenBLAS rounds an 8x8 matrix-vector product
+differently from a sum in index order, and the outputs that inherit such a
+product (the images and pairings in curvature_pairing and in the residual of
+covariant_constancy_residual) keep its bits.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._fd import cross4
-from ._fd import require_finite as _require_finite
+from ._fd import finite as _finite
 from .clifford import Signature2
 from .errors import PreconditionError, ValidationError
 
@@ -35,6 +46,38 @@ _TENSORS = {
     "omega_i": (True, False, lambda e: [[0, 1], [-1, 0]]),
     "omega_k": (True, True, lambda e: [[1, 0], [0, -e]]),
 }
+
+
+def _b(sigma, u, v):
+    """sum_i sigma_i u_i v_i of float 4-tuples, summed in index order."""
+    return (sigma[0] * u[0] * v[0] + sigma[1] * u[1] * v[1]
+            + sigma[2] * u[2] * v[2] + sigma[3] * u[3] * v[3])
+
+
+def _dot(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2] + u[3] * v[3]
+
+
+def _floats4(v, message):
+    """v as a tuple of four Python floats; ValidationError(message) unless a 4-vector."""
+    if isinstance(v, np.ndarray):
+        if v.shape != (4,):
+            raise ValidationError(message)
+        v = v.tolist()
+    try:
+        out = tuple(map(float, v))
+    except (TypeError, ValueError):
+        raise ValidationError(message) from None
+    if len(out) != 4:
+        raise ValidationError(message)
+    return out
+
+
+def _require_finite_pair(name, u, v):
+    """ValidationError naming the first index at which u or v is not finite."""
+    for k, (a, c) in enumerate(zip(u, v)):
+        if not (math.isfinite(a) and math.isfinite(c)):
+            raise ValidationError(f"{name} must be finite, first bad index {k}")
 
 
 def _eta(eta):
@@ -62,9 +105,8 @@ class AmbientForm4:
         return np.diag(np.array(self.sigma, dtype=float))
 
     def b(self, u, v):
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        return float(np.sum(np.array(self.sigma) * u * v))
+        message = "b takes two 4-vectors"
+        return _b(self.sigma, _floats4(u, message), _floats4(v, message))
 
 
 @dataclass(frozen=True)
@@ -74,19 +116,18 @@ class BasePoint:
     y: tuple
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        y = np.asarray(self.y, dtype=float)
-        if x.shape != (4,) or y.shape != (4,):
-            raise ValidationError("base point needs two 4-vectors")
-        _require_finite("base point x and y", x, y, nodes=1)
-        object.__setattr__(self, "x", tuple(x))
-        object.__setattr__(self, "y", tuple(y))
-        scale = max(1.0, float(x @ x), float(y @ y))
-        if abs(self.form.b(x, x)) <= _MEMBER_TOL * scale:
+        message = "base point needs two 4-vectors"
+        x, y = _floats4(self.x, message), _floats4(self.y, message)
+        _require_finite_pair("base point x and y", x, y)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        sigma = self.form.sigma
+        scale = max(1.0, _dot(x, x), _dot(y, y))
+        if abs(_b(sigma, x, x)) <= _MEMBER_TOL * scale:
             raise PreconditionError("b(x,x) vanishes")
-        if abs(self.form.b(y, y)) <= _MEMBER_TOL * scale:
+        if abs(_b(sigma, y, y)) <= _MEMBER_TOL * scale:
             raise PreconditionError("b(y,y) vanishes")
-        if abs(self.form.b(x, y)) > _MEMBER_TOL * scale:
+        if abs(_b(sigma, x, y)) > _MEMBER_TOL * scale:
             raise PreconditionError("x and y are not b-orthogonal")
 
     @property
@@ -107,23 +148,21 @@ class ContactVector:
     mu: tuple
 
     def __post_init__(self):
-        xi = np.asarray(self.xi, dtype=float)
-        mu = np.asarray(self.mu, dtype=float)
-        if xi.shape != (4,) or mu.shape != (4,):
-            raise ValidationError("contact vector needs two 4-vectors")
-        _require_finite("contact vector xi and mu", xi, mu, nodes=1)
-        object.__setattr__(self, "xi", tuple(xi))
-        object.__setattr__(self, "mu", tuple(mu))
-        b = self.point.form.b
-        x, y = self.point.xv, self.point.yv
-        scale = max(1.0, np.linalg.norm(xi), np.linalg.norm(mu))
+        message = "contact vector needs two 4-vectors"
+        xi, mu = _floats4(self.xi, message), _floats4(self.mu, message)
+        _require_finite_pair("contact vector xi and mu", xi, mu)
+        object.__setattr__(self, "xi", xi)
+        object.__setattr__(self, "mu", mu)
+        sigma, x, y = self.point.form.sigma, self.point.x, self.point.y
+        scale = max(1.0, math.sqrt(_dot(xi, xi)), math.sqrt(_dot(mu, mu)))
         for leg in (xi, mu):
-            if abs(b(leg, x)) > 1e-8 * scale or abs(b(leg, y)) > 1e-8 * scale:
+            if (abs(_b(sigma, leg, x)) > 1e-8 * scale
+                    or abs(_b(sigma, leg, y)) > 1e-8 * scale):
                 raise ValidationError("vector does not lie in W")
 
     @property
     def vec8(self):
-        return np.concatenate([self.xi, self.mu])
+        return np.array(self.xi + self.mu)
 
 
 def _as8(v):
@@ -138,13 +177,19 @@ def _as8(v):
 
 def w_project(p, v):
     """Project an ambient 8-vector to W along N, componentwise."""
-    legs = _as8(v).reshape(2, 4)
-    xy = np.array([p.x, p.y])
-    # c[leg, n] = b(leg, n) / b(n, n) for n = x, y
-    c = np.sum(np.array(p.form.sigma) * legs[:, None] * xy, axis=2) / [
-        p.form.b(p.x, p.x), p.form.b(p.y, p.y)]
-    out = legs - c[:, :1] * xy[0] - c[:, 1:] * xy[1]
-    return ContactVector(p, tuple(out[0]), tuple(out[1]))
+    if isinstance(v, ContactVector):
+        legs = (v.xi, v.mu)
+    else:
+        v = _as8(v).tolist()
+        legs = (v[:4], v[4:])
+    sigma, x, y = p.form.sigma, p.x, p.y
+    bxx, byy = _b(sigma, x, x), _b(sigma, y, y)
+    out = []
+    for leg in legs:
+        # leg - (b(leg, x) / b(x, x)) x - (b(leg, y) / b(y, y)) y
+        cx, cy = _b(sigma, leg, x) / bxx, _b(sigma, leg, y) / byy
+        out.append(tuple([u - cx * a - cy * c for u, a, c in zip(leg, x, y)]))
+    return ContactVector(p, *out)
 
 
 @dataclass(frozen=True)
@@ -164,7 +209,13 @@ class StructureFrame:
         X = self.A if through_a else np.eye(4)
         if pairing:
             X = self.point.form.matrix @ X
-        return np.kron(legs(self.eta), X)
+        # kron(L, X): block (r, c) is L[r][c] X
+        out = np.zeros((8, 8))
+        for r, row in enumerate(legs(self.eta)):
+            for c, coef in enumerate(row):
+                if coef:
+                    out[4 * r:4 * r + 4, 4 * c:4 * c + 4] = coef * X
+        return out
 
     def operator8(self, name):
         return self._tensor8(name, False)
@@ -191,21 +242,33 @@ def frame_at(p, eta=None):
     plane and eps = s1 s2.
     """
     eta = _eta(p.form.eta if eta is None else eta)
-    x, y = p.xv, p.yv
-    bxx, byy = p.form.b(x, x), p.form.b(y, y)
+    sigma, x, y = p.form.sigma, p.x, p.y
+    bxx, byy = _b(sigma, x, x), _b(sigma, y, y)
     # Sylvester's law: the plane has what sigma has of positive directions
     # beyond those of x and y
-    positive = sum(s > 0 for s in p.form.sigma) - (bxx > 0) - (byy > 0)
+    positive = sigma.count(1) - (bxx > 0) - (byy > 0)
     s1p, s2p = (1 if positive > 0 else -1), (1 if positive > 1 else -1)
-    A = (s2p / np.sqrt(abs(bxx * byy))) * p.form.matrix @ cross4(x, y, np.eye(4)).T
+    # column j is cross4(x, y, e_j), written in the minors m_ij = x_i y_j - x_j y_i,
+    # and row i is scaled by k_i = sigma_i s2 / sqrt(|b(x,x) b(y,y)|)
+    x0, x1, x2, x3 = x
+    y0, y1, y2, y3 = y
+    m01, m02, m03 = x0 * y1 - x1 * y0, x0 * y2 - x2 * y0, x0 * y3 - x3 * y0
+    m12, m13, m23 = x1 * y2 - x2 * y1, x1 * y3 - x3 * y1, x2 * y3 - x3 * y2
+    scale = s2p / math.sqrt(abs(bxx * byy))
+    k0, k1, k2, k3 = (scale * s for s in sigma)
+    A = np.array([[0.0, -k0 * m23, k0 * m13, -k0 * m12],
+                  [k1 * m23, 0.0, -k1 * m03, k1 * m02],
+                  [-k2 * m13, k2 * m03, 0.0, -k2 * m01],
+                  [k3 * m12, -k3 * m02, k3 * m01, 0.0]])
     return StructureFrame(p, eta, s1p * s2p, A)
 
 
 def _on_manifold(form, x, y, tol=1e-8):
-    scale = max(1.0, float(x @ x), float(y @ y))
-    return (abs(form.b(x, y)) <= tol * scale
-            and abs(form.b(x, x)) > tol * scale
-            and abs(form.b(y, y)) > tol * scale)
+    sigma = form.sigma
+    scale = max(1.0, _dot(x, x), _dot(y, y))
+    return (abs(_b(sigma, x, y)) <= tol * scale
+            and abs(_b(sigma, x, x)) > tol * scale
+            and abs(_b(sigma, y, y)) > tol * scale)
 
 
 def covariant_constancy_residual(form, path, fields, tensor, t0=0.0, h=1e-3):
@@ -217,6 +280,7 @@ def covariant_constancy_residual(form, path, fields, tensor, t0=0.0, h=1e-3):
     (residual, velocity_in_w): the structure lemmas assume the path velocity
     lies in W, so the flag reports whether that hypothesis held.
     """
+    t0 = _finite(t0, "t0")
     if not 0 < h <= 0.05:
         raise ValidationError("step must lie in (0, 0.05]")
     if tensor not in _TENSORS:
@@ -228,11 +292,11 @@ def covariant_constancy_residual(form, path, fields, tensor, t0=0.0, h=1e-3):
 
     def at(t):
         """Point (x, y) as an 8-vector, frame, tensor matrix and sections at t."""
-        x, y = (np.asarray(v, dtype=float) for v in path(t))
+        x, y = (_floats4(v, "path points must be 4-vectors") for v in path(t))
         if not _on_manifold(form, x, y):
             raise PreconditionError("path leaves the base manifold")
-        fr = frame_at(BasePoint(form, tuple(x), tuple(y)))
-        return (np.concatenate([x, y]), fr, fr._tensor8(tensor, pairing),
+        fr = frame_at(BasePoint(form, x, y))
+        return (np.array(x + y), fr, fr._tensor8(tensor, pairing),
                 [_as8(fn(t)) for fn in fields])
 
     # stencil times t0, t0 -+ h, t0 -+ h/2
@@ -267,24 +331,35 @@ def curvature_pairing(p, X, eta=None):
     """
     eta = _eta(p.form.eta if eta is None else eta)
     fr = frame_at(p, eta)
-    b = p.form.b
+    sigma = p.form.sigma
     X8 = X.vec8
-    sv = np.linalg.svd(X8.reshape(2, 4).T, compute_uv=False)
-    if sv[1] > 1e-8 * max(sv[0], 1.0):
+    xi, mu = X8[:4].tolist(), X8[4:].tolist()
+    # singular values s0 >= s1 of the legs [xi mu] from their 2x2 Gram matrix:
+    # s0^2 + s1^2 is its trace and s0^2 s1^2 = |xi ^ mu|^2 its determinant, a
+    # sum over the six minors that stays accurate for colinear legs
+    trace = _dot(xi, xi) + _dot(mu, mu)
+    det = sum((xi[i] * mu[j] - xi[j] * mu[i]) ** 2
+              for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
+    s0_sq = 0.5 * (trace + math.sqrt(max(trace * trace - 4.0 * det, 0.0)))
+    s1_sq = det / s0_sq if s0_sq > 0 else 0.0
+    # s1 > 1e-8 max(s0, 1)
+    if not s1_sq <= 1e-16 * max(s0_sq, 1.0):
         raise PreconditionError("legs of X must be colinear")
-    x, y = p.xv, p.yv
-    bxx, byy = b(x, x), b(y, y)
-    lam_x, lam_y = np.sqrt(abs(bxx)), np.sqrt(abs(byy))
-    s_x, s_y = np.sign(bxx), np.sign(byy)
+    x, y = p.x, p.y
+    bxx, byy = _b(sigma, x, x), _b(sigma, y, y)
+    lam_x, lam_y = math.sqrt(abs(bxx)), math.sqrt(abs(byy))
+    s_x, s_y = math.copysign(1.0, bxx), math.copysign(1.0, byy)
 
-    X, JX, KX = (v.reshape(2, 4) for v in (X8, fr.operator8("J") @ X8, fr.operator8("K") @ X8))
+    # the images J X and K X keep numpy's 8x8 products; their legs are float lists
+    X, JX, KX = ((v[:4], v[4:]) for v in (X8.tolist(), (fr.operator8("J") @ X8).tolist(),
+                                          (fr.operator8("K") @ X8).tolist()))
     lhs = 0.0
     # normal direction: B(U, V) = factor * b(U[u], V[v]) / lam, weighted by sign
     for u, v, factor, lam, sign in ((0, 0, -1, lam_x, s_x), (1, 0, -1, lam_y, s_y),
                                     (0, 1, -eta, lam_x, eta * s_x),
                                     (1, 1, -eta, lam_y, eta * s_y)):
         def B(U, V):
-            return factor * b(U[u], V[v]) / lam
+            return factor * _b(sigma, U[u], V[v]) / lam
         lhs += sign * (B(JX, X) * B(X, KX) - B(X, X) * B(JX, KX))
 
     norm_p = bxx + eta * byy
@@ -301,6 +376,8 @@ def stabilizer_membership(M44, b2, tol=1e-9):
     b2 = np.asarray(b2, dtype=float)
     if M.shape != (4, 4) or b2.shape != (2, 2):
         raise ValidationError("expected a 4x4 matrix and a 2x2 form")
+    if not (np.isfinite(M).all() and np.isfinite(b2).all()):
+        raise ValidationError("the matrix and the form must be finite")
     N = M[:2, :2]
     if np.max(np.abs(M[:2, 2:])) > tol or np.max(np.abs(M[2:, :2])) > tol:
         return False

@@ -723,3 +723,42 @@ def test_covariant_constancy_evaluates_each_stencil_time_once():
         covariant_constancy_residual(form, traced, fields, tensor, t0=t0, h=h)
         for name, times in calls.items():
             assert sorted(times) == stencil, (tensor, name, times)
+
+
+def test_b_equals_numpy_sum_bit_for_bit():
+    """b is an index-order float sum; np.sum takes the same order on four terms."""
+    rng = np.random.default_rng(46)
+    for form in FORMS:
+        sigma = np.array(form.sigma)
+        for _ in range(500):
+            u = rng.standard_normal(4) * 10.0 ** rng.integers(-8, 9, 4)
+            v = rng.standard_normal(4) * 10.0 ** rng.integers(-8, 9, 4)
+            want = float(np.sum(sigma * u * v))
+            for a, c in ((u, v), (tuple(u), tuple(v)), (u.tolist(), list(v)),
+                         (tuple(u.tolist()), v)):
+                got = form.b(a, c)
+                assert type(got) is float and got == want
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_covariant_constancy_rejects_non_finite_t0(bad):
+    """A non-finite t0 is refused, also on a path and sections that ignore t."""
+    x0 = np.array([1, 0, 0, 0.0])
+    y0 = np.array([0, 0, 0, 1.0])
+    sec = lambda t: w_project(BasePoint(EUCLIDEAN, x0, y0), np.ones(8))
+    for path in (lambda t: (x0, y0), lambda t: (np.cos(t) * x0 + np.sin(t) * y0,
+                                                np.cos(t) * y0 - np.sin(t) * x0)):
+        with pytest.raises(ValidationError, match="t0 must be finite"):
+            covariant_constancy_residual(EUCLIDEAN, path, (sec, sec), "g", t0=bad)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_stabilizer_membership_rejects_non_finite_input(bad):
+    M = np.eye(4)
+    M[0, 0] = bad
+    with pytest.raises(ValidationError, match="finite"):
+        stabilizer_membership(M, np.eye(2))
+    b2 = np.eye(2)
+    b2[1, 0] = bad
+    with pytest.raises(ValidationError, match="finite"):
+        stabilizer_membership(np.eye(4), b2)
