@@ -231,6 +231,12 @@ def _combine(a, u, b, v):
     return tuple([a * s + b * t for s, t in zip(u, v)])
 
 
+def _span_basis(P):
+    """The span basis S = Q T of a plane's frame, as two coefficient 4-tuples."""
+    (q0, q1), (t00, t01, t11) = P._frame
+    return _combine(t00, q0, 0.0, q1), _combine(t01, q0, t11, q1)
+
+
 def _eigh2(a, b, c):
     """Eigenvalues lam0 <= lam1 and unit eigenvectors (e0, e1) of [[a, b], [b, c]].
 
@@ -450,10 +456,9 @@ def classify_plane(P, x, tol=_DEGEN_TOL):
     if rep is None:
         raise PreconditionError("plane is not properly m_x-invariant")
     (q0, q1), ((r00, r01), (r10, r11)) = rep
-    t00, t01, t11 = P._frame[1]
     sig = P.sig
     # ghat on the span basis S = Q T
-    s0, s1 = _combine(t00, q0, 0.0, q1), _combine(t01, q0, t11, q1)
+    s0, s1 = _span_basis(P)
     g00, g01, g11 = _ghat(sig, s0, s0), _ghat(sig, s0, s1), _ghat(sig, s1, s1)
     if abs(g00 * g11 - g01 * g01) > tol:
         return REGULAR
@@ -493,19 +498,14 @@ def principal_vectors(P, x):
     (q0, q1), ((r00, r01), (r10, r11)) = _representation(P, x)
     t00, t01, t11 = P._frame[1]
     sig = P.sig
-    # h = ghat(., m_x .) on the span basis S = Q T, where m_x Q = Q R: with
-    # G = Q^T ghat Q, H = T^T G R T
-    g00, g01, g11 = _ghat(sig, q0, q0), _ghat(sig, q0, q1), _ghat(sig, q1, q1)
-    gr00, gr01 = g00 * r00 + g01 * r10, g00 * r01 + g01 * r11
-    gr10, gr11 = g01 * r00 + g11 * r10, g01 * r01 + g11 * r11
-    grt00, grt01 = gr00 * t00, gr00 * t01 + gr01 * t11
-    grt10, grt11 = gr10 * t00, gr10 * t01 + gr11 * t11
-    h00 = t00 * grt00
-    h01, h10 = t00 * grt01, t01 * grt00 + t11 * grt10
-    h11 = t01 * grt01 + t11 * grt11
+    # h = ghat(., m_x .) on the span basis S = Q T, where m_x S = Q R T
+    s0, s1 = _span_basis(P)
+    m0 = _combine(r00 * t00, q0, r10 * t00, q1)
+    m1 = _combine(r00 * t01 + r01 * t11, q0, r10 * t01 + r11 * t11, q1)
+    h01 = 0.5 * (_ghat(sig, s0, m1) + _ghat(sig, s1, m0))
     # null directions of the quadratic via its eigen-frame: with H = E L E^T
     # the form reads l0 p^2 + l1 q^2, so p = +/- sqrt(-l1/l0) q
-    (lam0, lam1), (e0, e1) = _eigh2(h00, 0.5 * (h01 + h10), h11)
+    (lam0, lam1), (e0, e1) = _eigh2(_ghat(sig, s0, m0), h01, _ghat(sig, s1, m1))
     if min(abs(lam0), abs(lam1)) < 1e-12 * max(abs(lam0), abs(lam1), 1.0):
         raise PreconditionError("principal quadratic is degenerate")
     ratio = -lam1 / lam0
@@ -514,9 +514,8 @@ def principal_vectors(P, x):
     root = cmath.sqrt(ratio)
     out = []
     for p in (root, -root):
-        # w = Q T E (p, 1)
-        e = (p * e0[0] + e1[0], p * e0[1] + e1[1])
-        w = _combine(t00 * e[0] + t01 * e[1], q0, t11 * e[1], q1)
+        # w = S E (p, 1)
+        w = _combine(p * e0[0] + e1[0], s0, p * e0[1] + e1[1], s1)
         n2 = _ghat(sig, w, w)
         if abs(n2) < 1e-12:
             raise PreconditionError("principal direction is ghat-null")

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._fd import finite as _finite
-from .clifford import Signature2
+from .clifford import Signature2, _dot
 from .errors import PreconditionError, ValidationError
 
 _MEMBER_TOL = 1e-10
@@ -52,10 +52,6 @@ def _b(sigma, u, v):
     """sum_i sigma_i u_i v_i of float 4-tuples, summed in index order."""
     return (sigma[0] * u[0] * v[0] + sigma[1] * u[1] * v[1]
             + sigma[2] * u[2] * v[2] + sigma[3] * u[3] * v[3])
-
-
-def _dot(u, v):
-    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2] + u[3] * v[3]
 
 
 def _floats4(v, message):
@@ -177,15 +173,11 @@ def _as8(v):
 
 def w_project(p, v):
     """Project an ambient 8-vector to W along N, componentwise."""
-    if isinstance(v, ContactVector):
-        legs = (v.xi, v.mu)
-    else:
-        v = _as8(v).tolist()
-        legs = (v[:4], v[4:])
+    v = _as8(v).tolist()
     sigma, x, y = p.form.sigma, p.x, p.y
     bxx, byy = _b(sigma, x, x), _b(sigma, y, y)
     out = []
-    for leg in legs:
+    for leg in (v[:4], v[4:]):
         # leg - (b(leg, x) / b(x, x)) x - (b(leg, y) / b(y, y)) y
         cx, cy = _b(sigma, leg, x) / bxx, _b(sigma, leg, y) / byy
         out.append(tuple([u - cx * a - cy * c for u, a, c in zip(leg, x, y)]))
@@ -351,8 +343,9 @@ def curvature_pairing(p, X, eta=None):
     s_x, s_y = math.copysign(1.0, bxx), math.copysign(1.0, byy)
 
     # the images J X and K X keep numpy's 8x8 products; their legs are float lists
-    X, JX, KX = ((v[:4], v[4:]) for v in (X8.tolist(), (fr.operator8("J") @ X8).tolist(),
-                                          (fr.operator8("K") @ X8).tolist()))
+    X = (xi, mu)
+    JX, KX = ((fr.operator8(name) @ X8).tolist() for name in "JK")
+    JX, KX = (JX[:4], JX[4:]), (KX[:4], KX[4:])
     lhs = 0.0
     # normal direction: B(U, V) = factor * b(U[u], V[v]) / lam, weighted by sign
     for u, v, factor, lam, sign in ((0, 0, -1, lam_x, s_x), (1, 0, -1, lam_y, s_y),
