@@ -54,7 +54,7 @@ class Spline:
         if type(t) is not np.ndarray or t.dtype != np.float64:
             t = np.asarray(t, dtype=float)
         i, u = self._locate(t if t.ndim == 1 else t.reshape(-1))
-        out = horner(self.c[..., i], u)
+        out = horner(np.take(self.c, i, axis=-1), u)
         # the fresh result of a scalar spline already has its points first
         if self.c.ndim > 2:
             out = out.transpose(self._points_first).copy()
