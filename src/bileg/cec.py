@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._fd import axis_array, cross4, d_uniform, require_finite, uniform_step
-from ._spline import TensorSpline
+from ._spline import TensorSpline, cubic
 from .errors import PreconditionError, ValidationError
 
 H3_SIGMA = np.array([1.0, 1.0, 1.0, -1.0])
@@ -161,8 +161,12 @@ def fundamental_forms(patch):
     With the sign convention II(xi, mu) = b(D nu . xi, D e . mu), the round
     sphere of radius r with outward normal has shape operator Id / r.
     """
+    return _forms(patch, *_patch_derivatives(patch))
+
+
+def _forms(patch, de, dnu):
+    """`fundamental_forms` of the patch from its partials de and dnu."""
     sigma = _sigma(patch.ambient)
-    de, dnu = _patch_derivatives(patch)
     I = np.empty(patch.e.shape[:2] + (2, 2))
     II = np.empty_like(I)
     III = np.empty_like(I)
@@ -243,8 +247,8 @@ def gauss_lift(patch, k):
     rk = math.sqrt(k)
     x = patch.e
     y = patch.nu / rk
-    forms = fundamental_forms(patch)
     de, dnu = _patch_derivatives(patch)
+    forms = _forms(patch, de, dnu)
     dy = (dnu[0] / rk, dnu[1] / rk)
 
     if patch.ambient == "euclidean":
@@ -487,7 +491,6 @@ def hazzidaki(tg, tol=1e-9):
     P = d_uniform(d_uniform(tg.theta, hx, 0), hx, 0) \
         - d_uniform(d_uniform(tg.theta, hy, 1), hy, 1)
     spl_p = TensorSpline(tg.x, tg.y, P)
-    spl_t = TensorSpline(tg.x, tg.y, tg.theta)
 
     n = max(len(tg.x), len(tg.y))
     u = np.linspace(-R, R, n)
@@ -500,8 +503,11 @@ def hazzidaki(tg, tol=1e-9):
     scale = np.abs(Pt).max() + 1.0
     sign_constant = bool(Pt.min() >= -tol * scale or Pt.max() <= tol * scale)
 
-    corners = (float(spl_t.ev(R, 0.0)) - float(spl_t.ev(0.0, R))
-               - float(spl_t.ev(0.0, -R)) + float(spl_t.ev(-R, 0.0)))
+    # the corners lie on the boundary knot lines, where the bicubic of theta
+    # is the not-a-knot cubic of that line
+    left, right = cubic(tg.y, tg.theta[[0, -1]].T)(0.0)
+    down, up = cubic(tg.x, tg.theta[:, [0, -1]])(0.0)
+    corners = float(right) - float(up) - float(down) + float(left)
     corner_sum = 2.0 * abs(corners)
 
     osc = float(tg.theta.max() - tg.theta.min())

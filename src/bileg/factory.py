@@ -21,20 +21,20 @@ Grids are indexed X[i, j] with i along x1 and j along x2.  Quaternions are
 rows (w, x, y, z).
 
 The grid verifiers (`residual_suite`, `angle_function`, `lie_factorize`)
-evaluate every per-node quantity over row blocks of about `_BLOCK_NODES` =
-16384 nodes (512 KiB per quaternion block), and form the derivatives a
-block needs on a row window around it: the block's rows plus the halo the
-4th-order stencil along x1 reads, two rows on either side per x1 derivative
-and the five one-sided rows at a grid edge (`_fd.stencil_rows`).  Every
-derivative equals the whole-grid one bit for bit, yet no whole-grid
-derivative is ever held: at 385^2 nodes each verifier keeps under four
-quaternion grids (4.7 MB each) of temporaries, where whole-grid partials,
-seconds and criterion terms took up to twelve.  Much smaller blocks pay
-numpy's per-call cost too often; on a host with a 2 MiB L2 cache, 4096,
-8192, 16384 and 32768 nodes per block ran the verifiers at 97^2, 193^2 and
-385^2 nodes fastest at 16384 (measured with whole-grid partials).
-`cubic_form_entries`, which returns whole grids, takes one window of all
-rows.
+make one pass over row blocks of about `_BLOCK_NODES` = 16384 nodes (512
+KiB per quaternion block), and form the derivatives a block needs once, on
+a row window around it: the block's rows plus the halo the 4th-order
+stencil along x1 reads, two rows on either side per x1 derivative and the
+five one-sided rows at a grid edge (`_fd.stencil_rows`).  Every derivative
+equals the whole-grid one bit for bit, yet no whole-grid derivative is
+ever held: at 385^2 nodes each verifier keeps under four quaternion grids
+(4.7 MB each) of temporaries, where whole-grid partials, seconds and
+criterion terms took up to twelve; `angle_function`, which carries only
+per-node scalars from block to block, keeps under three.  Much smaller
+blocks pay numpy's per-call cost too often; on a host with a 2 MiB L2
+cache, 4096, 8192, 16384 and 32768 nodes per block ran the verifiers at
+97^2, 193^2 and 385^2 nodes fastest at 16384 (with whole-grid partials).
+`cubic_form_entries`, which returns whole grids, takes one all-row window.
 """
 
 import functools
@@ -533,17 +533,13 @@ class AngleData:
     frame_residual: float
 
 
-def _propagate_sign(raw, i0, j0):
-    """Sign grid making the raw unit field continuous along row j0, then columns."""
-    n1, n2 = raw.shape[:2]
+def _propagate_sign(rowdots, coldots, i0, j0):
+    """Sign grid making a unit field e continuous along x1 on the origin
+    column j0, then along x2 from it, given the overlaps
+    rowdots[i] = b(e[i+1, j0], e[i, j0]) and coldots[i, j] = b(e[i, j+1], e[i, j])."""
+    n1, n2 = len(rowdots) + 1, coldots.shape[1] + 1
     sign = np.ones((n1, n2))
-    row = raw[:, j0]
-    rowdots = quat.dot(row[1:], row[:-1])
-    coldots = quat.dot(raw[:, 1:], raw[:, :-1])
-    worst = min(
-        float(np.abs(rowdots).min()) if len(rowdots) else 1.0,
-        float(np.abs(coldots).min()) if coldots.size else 1.0,
-    )
+    worst = float(min(np.abs(rowdots).min(initial=1.0), np.abs(coldots).min(initial=1.0)))
     if worst < 0.1:
         raise PreconditionError(
             f"grid too coarse to propagate the tangent frame sign, overlap {worst:.3f}"
@@ -569,51 +565,49 @@ def angle_function(grid):
     off nodewise, the sign of e1 is fixed at the origin and propagated by
     continuity, and the branch is unwrapped along the origin row and then
     along every column.
+
+    One pass over the row blocks forms each block's first partials once and
+    the unsigned field e, the longer of U = (d1X + d2X)/2 and V = (d1Y + d2Y)/2
+    normalized.  It keeps per node b(U, e), b(V, e) and b(e[i, j+1], e[i, j]),
+    and e on the origin column j0, and takes the frame residual from e, which
+    (e1, e2, theta) -> (-e1, -e2, theta + pi) leaves unchanged.  The sign s of
+    e1 = s e follows from the overlaps, and theta = arctan2(s b(V, e), s b(U, e)).
     """
     i0, j0 = grid.origin()
     X, Y = grid.X, grid.Y
+    n1, n2 = X.shape[:2]
     derivs = _derivatives(grid)
-    blocks = _row_blocks(*X.shape[:2])
-
-    # the second pass runs backwards and so opens on the block the first one
-    # ended with: a grid of one block forms its partials once
-    @functools.lru_cache(maxsize=1)
-    def halves(k):
-        (d1x, d2x), (d1y, d2y) = block = derivs.first(blocks[k])
-        return block, 0.5 * (d1x + d2x), 0.5 * (d1y + d2y)
-
-    raw = np.empty_like(X)
-    for k, rows in enumerate(blocks):
-        _, U, V = halves(k)
+    ue, ve = np.empty((n1, n2)), np.empty((n1, n2))
+    coldots = np.empty((n1, n2 - 1))
+    axis = np.empty((n1, 4))
+    frame_residual = 0.0
+    for rows in _row_blocks(n1, n2):
+        (d1x, d2x), (d1y, d2y) = derivs.first(rows)
+        U, V = 0.5 * (d1x + d2x), 0.5 * (d1y + d2y)
         nu, nv = quat.norm(U), quat.norm(V)
         if np.any(np.maximum(nu, nv) < 1e-8):
             raise PreconditionError("angle frame undefined: both derivative components vanish")
-        raw[rows] = np.where(
-            (nu >= nv)[..., None],
-            U / np.maximum(nu, 1e-300)[..., None],
-            V / np.maximum(nv, 1e-300)[..., None],
-        )
-    sign = _propagate_sign(raw, i0, j0)
-
-    # theta before unwrapping differs from it by multiples of 2 pi, so the
-    # frame is rebuilt from it in the same pass
-    theta = np.empty(X.shape[:2])
-    frame_residual = 0.0
-    for k in reversed(range(len(blocks))):
-        rows = blocks[k]
-        ((d1x, d2x), (d1y, d2y)), U, V = halves(k)
+        e = np.where((nu >= nv)[..., None], U / np.maximum(nu, 1e-300)[..., None],
+                     V / np.maximum(nv, 1e-300)[..., None])
+        a = ue[rows] = quat.dot(U, e)
+        b = ve[rows] = quat.dot(V, e)
+        coldots[rows] = quat.dot(e[:, 1:], e[:, :-1])
+        axis[rows] = e[:, j0]
+        # cos and sin of the unsigned angle arctan2(b, a)
+        r = np.hypot(a, b)
+        cs, sn = (a / r)[..., None], (b / r)[..., None]
         x, y = X[rows], Y[rows]
-        e1 = sign[rows, :, None] * raw[rows]
-        th = theta[rows] = np.arctan2(quat.dot(V, e1), quat.dot(U, e1))
-        e2 = quat.quarter_turn(x, y, e1)
-        cs, sn = np.cos(th)[..., None], np.sin(th)[..., None]
+        e2 = quat.quarter_turn(x, y, e)
         frame_residual = np.maximum(frame_residual, _worst(
-            quat.norm(d1x - (cs * e1 - sn * e2)),
-            quat.norm(d1y - (sn * e1 + cs * e2)),
-            quat.norm(d2x - (cs * e1 + sn * e2)),
-            quat.norm(d2y - (sn * e1 - cs * e2)),
-            det4(x, e1, e2, y) - 1.0,
+            quat.norm(d1x - (cs * e - sn * e2)),
+            quat.norm(d1y - (sn * e + cs * e2)),
+            quat.norm(d2x - (cs * e + sn * e2)),
+            quat.norm(d2y - (sn * e - cs * e2)),
+            det4(x, e, e2, y) - 1.0,
         ))
+    sign = _propagate_sign(quat.dot(axis[1:], axis[:-1]), coldots, i0, j0)
+    # b(V, s e) = s b(V, e) exactly for s = +-1
+    theta = np.arctan2(np.multiply(sign, ve, out=ve), np.multiply(sign, ue, out=ue))
 
     row = theta[:, j0].copy()
     theta[i0:, j0] = np.unwrap(row[i0:])

@@ -430,6 +430,18 @@ def test_angle_undefined_on_constant_grid():
         angle_function(ImmersionGrid(x, x, X, Y))
 
 
+def test_angle_refuses_a_grid_too_coarse_for_the_frame_sign():
+    # unrelated orthonormal pairs at neighbouring nodes: the tangent field has
+    # nothing to follow from one node to the next
+    rng = np.random.default_rng(17)
+    x = np.linspace(-1.0, 1.0, 7)
+    X = quat.normalize(rng.standard_normal((7, 7, 4)))
+    Y = rng.standard_normal((7, 7, 4))
+    Y = quat.normalize(Y - quat.dot(Y, X)[..., None] * X)
+    with pytest.raises(PreconditionError, match="too coarse to propagate"):
+        angle_function(ImmersionGrid(x, x, X, Y))
+
+
 # asymptotic frames
 
 

@@ -315,6 +315,51 @@ def test_angle_function_agrees(grids, kind):
         _agree(getattr(new, name), value)
 
 
+# theta0 in [4, 5.5] with larger potentials turns the unsigned frame through
+# e -> -e at thousands of nodes, where the grids above flip none
+
+@pytest.fixture(scope="module", params=[(theta0, size) for theta0 in (4.0, 5.5) for size in SIZES],
+                ids=lambda p: f"{p[0]}-{p[1][0]}x{p[1][1]}")
+def flip_grids(request):
+    theta0, (n1, n2) = request.param
+    f = lambda t: 1.5 + 0.4 * np.sin(1.3 * t)
+    g = lambda t: -1.2 + 0.3 * np.cos(t)
+    return _kinds(from_theta(theta0, f, g, np.linspace(-0.3, 0.3, n1),
+                             np.linspace(-0.5, 0.5, n2)))
+
+
+@pytest.mark.parametrize("kind", ["analytic", "finite_difference", "perturbed"])
+def test_angle_function_agrees_across_frame_sign_flips(flip_grids, kind, monkeypatch):
+    grid = flip_grids[kind]
+    signs = []
+    propagate = factory._propagate_sign
+
+    def recorded(*args):
+        signs.append(propagate(*args))
+        return signs[-1]
+
+    monkeypatch.setattr(factory, "_propagate_sign", recorded)
+    new, ref = factory.angle_function(grid), _ref_angle(grid)
+    assert (signs[0] < 0).sum() > 100
+    for name, value in ref.items():
+        _agree(getattr(new, name), value)
+
+
+@pytest.mark.parametrize("kind", ["analytic", "finite_difference"])
+def test_angle_function_forms_each_block_once(grids, kind, monkeypatch):
+    grid = grids[kind]
+    calls = []
+    first = factory._RowDerivatives.first
+
+    def counted(self, rows):
+        calls.append(rows)
+        return first(self, rows)
+
+    monkeypatch.setattr(factory._RowDerivatives, "first", counted)
+    factory.angle_function(grid)
+    assert calls == factory._row_blocks(*grid.X.shape[:2])
+
+
 @pytest.mark.parametrize("kind", ["analytic", "finite_difference"])
 @pytest.mark.parametrize("index", [1, 2])
 def test_asymptotic_frame_tangent_is_bit_identical(grids, kind, index):
@@ -432,6 +477,21 @@ def test_verifier_temporaries_stay_under_four_grids(large_grids, verifier, kind)
         tracemalloc.stop()
     grids = (peak - before) / grid.X.nbytes
     assert grids <= 4.0, f"{verifier} held {grids:.2f} quaternion grids of temporaries"
+
+
+@pytest.mark.parametrize("kind", ["analytic", "finite_difference"])
+def test_angle_function_holds_under_three_grids(large_grids, kind):
+    # per node it keeps scalars only: b(U, e), b(V, e), the overlaps, theta
+    grid = large_grids[kind]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        factory.angle_function(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    grids = (peak - before) / grid.X.nbytes
+    assert grids <= 3.0, f"angle_function held {grids:.2f} quaternion grids of temporaries"
 
 
 def test_frame_determinant_closed_form():
