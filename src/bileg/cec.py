@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._fd import axis_array, cross4, d_uniform, require_finite, uniform_step
+from ._fd import axis_array, cross4, d_uniform, finite, require_finite, uniform_step
 from ._spline import TensorSpline, cubic
 from .errors import PreconditionError, ValidationError
 
@@ -241,6 +241,7 @@ def gauss_lift(patch, k):
     eta exactly when det(shape) = eta k, which the two omega_k residuals
     detect.
     """
+    k = finite(k, "k")
     if k <= 0:
         raise ValidationError("k must be positive")
     sigma = _sigma(patch.ambient)
@@ -350,6 +351,8 @@ def flat_metric(patch, k, sign, tol=1e-4):
     """
     if sign not in ("+", "-"):
         raise ValidationError("sign must be '+' or '-'")
+    k = finite(k, "k")
+    tol = finite(tol, "tol")
     if k <= 0:
         raise ValidationError("k must be positive")
     forms = fundamental_forms(patch)
@@ -403,6 +406,8 @@ class ThetaGrid:
         require_finite("theta", self.theta)
         if not self.k > 0:
             raise ValidationError("k must be positive")
+        self.k = finite(self.k, "k")
+        self.c = finite(self.c, "c")
 
     @property
     def steps(self):
@@ -416,7 +421,7 @@ def chebyshev_forms(tg, k=None):
     III = k diag(sin^2, cos^2); the extrinsic curvature is -k identically
     and the diagonal directions (1, +-1) are asymptotic.
     """
-    k = tg.k if k is None else float(k)
+    k = tg.k if k is None else finite(k, "k")
     if k <= 0:
         raise ValidationError("k must be positive")
     th = tg.theta
@@ -483,6 +488,7 @@ class HazzidakiReport:
 
 def hazzidaki(tg, tol=1e-9):
     """Evaluate the total-curvature bound on a symmetric square [-R, R]^2."""
+    tol = finite(tol, "tol")
     R = float(tg.x[-1])
     for axis, name in ((tg.x, "x"), (tg.y, "y")):
         if abs(axis[0] + R) > 1e-9 * max(1.0, R) or abs(axis[-1] - R) > 1e-9 * max(1.0, R):

@@ -669,6 +669,7 @@ def asymptotic_frame(grid, index, angle=None, tol=1e-6):
     -2 eps dtheta, which ties the frame to the angle data (computed on
     demand when not supplied).
     """
+    tol = _finite(tol, "tol")
     if index not in (1, 2):
         raise ValidationError("index must be 1 or 2")
     if angle is None:
@@ -782,6 +783,8 @@ def from_theta(theta0, f, g, x1, x2, step=1e-3):
     theta0 about the last imaginary axis.  Both are splined and assembled
     with a = 1, b = k.
     """
+    if not 0.0 < step <= 0.1:
+        raise ValidationError(f"step must lie in (0, 0.1], got {step}")
     x1 = _axis_array(x1, "x1")
     x2 = _axis_array(x2, "x2")
     margin = 2.0 * max(step, 1e-4)
@@ -824,7 +827,7 @@ class PeriodLattice:
 
     q1 and q2 are the snapped rational fiber rotation numbers of the two
     factors about their horizontality axes; the measured floats are kept
-    alongside.
+    alongside, and rule_residual is the worst translation residual of that rule.
     """
 
     p1: float
@@ -835,10 +838,17 @@ class PeriodLattice:
     q2_measured: float
     axis1: np.ndarray
     axis2: np.ndarray
-    rule_residual: float = 0.0
+    rule_residual: float
 
     def contains(self, m, n):
-        return (Fraction(m) * self.q1 - Fraction(n) * self.q2).denominator == 1
+        return bool(_divisible(self.q1, self.q2, m, n))
+
+
+def _divisible(q1, q2, m, n):
+    """Whether m q1 - n q2 is an integer: m a1 b2 - n a2 b1 = 0 mod b1 b2 for
+    q1 = a1/b1, q2 = a2/b2, on integers or integer arrays m, n."""
+    (a1, b1), (a2, b2) = q1.as_integer_ratio(), q2.as_integer_ratio()
+    return (m * a1 * b2 - n * a2 * b1) % (b1 * b2) == 0
 
 
 @dataclass
@@ -850,6 +860,11 @@ class NoLattice:
     reason: str
 
 
+# fiber rotation numbers snap to rationals of denominator at most this, within _SNAP_TOL
+_DENOMINATOR_LIMIT = 64
+_SNAP_TOL = 1e-6
+
+
 def _snap_rational(value, limit, tol):
     frac = Fraction(value).limit_denominator(limit)
     if abs(float(frac) - value) > tol:
@@ -857,8 +872,7 @@ def _snap_rational(value, limit, tol):
     return frac % 1
 
 
-def torus_ansatz(a, b, c1, c2, n1=65, n2=65, step=1e-3,
-                 denominator_limit=64, snap_tol=1e-6):
+def torus_ansatz(a, b, c1, c2, n1=65, n2=65, step=1e-3):
     """Construct a candidate doubly-periodic immersion from two closed curves.
 
     c1 and c2 are closed spherical curves, arc-length parametrized in the
@@ -867,15 +881,16 @@ def torus_ansatz(a, b, c1, c2, n1=65, n2=65, step=1e-3,
     about conj(a).b and c2 on the left about -b.conj(a), whose horizontal
     distribution is the one `construct` checks for the second factor.  Their
     horizontal lifts through the identity are the factor curves; the periods
-    are the curve lengths, and the fiber rotation numbers are measured from
-    the lift holonomies.  Returns the
-    grid over one fundamental rectangle together with the PeriodLattice, or
-    a NoLattice report when the rotation numbers fail to snap to rationals.
+    are the curve lengths, and the lattice is read from the factors as
+    `period_lattice` reads it.  Returns the grid over one fundamental
+    rectangle together with the PeriodLattice, or a NoLattice report when
+    the rotation numbers fail to snap to rationals or the divisibility rule.
     """
     a, b = _orthonormal_pair(a, b)
     xi1 = quat.mul(quat.conj(a), b)
     xi2 = -quat.mul(b, quat.conj(a))
-    for name, curve, xi in (("c1", c1, xi1), ("c2", c2, xi2)):
+    splines = []
+    for name, curve, xi, side in (("c1", c1, xi1, "right"), ("c2", c2, xi2, "left")):
         if not curve.closed:
             raise PreconditionError(f"{name} must be a closed curve")
         if abs(float(curve.params[0])) > 1e-12:
@@ -885,40 +900,17 @@ def torus_ansatz(a, b, c1, c2, n1=65, n2=65, step=1e-3,
             raise PreconditionError(
                 f"{name}(0) must be the conjugated axis, offset {gap:.3e}"
             )
-
-    lift1 = sphere.horizontal_lift(c1, quat.to_vec3(xi1), "right", quat.ONE, step=step)
-    lift2 = sphere.horizontal_lift(c2, quat.to_vec3(xi2), "left", quat.ONE, step=step)
-    p1 = float(lift1.params[-1])
-    p2 = float(lift2.params[-1])
-    h1 = sphere.holonomy(lift1, p1)
-    h2 = sphere.holonomy(lift2, p2)
-    q1 = (-h1.q) % 1.0
-    q2 = (-h2.q) % 1.0
-
-    spl1 = _spline.cubic(lift1.params, lift1.samples)
-    spl2 = _spline.cubic(lift2.params, lift2.samples)
-    x1 = np.linspace(0.0, p1, n1)
-    x2 = np.linspace(0.0, p2, n2)
+        lift = sphere.horizontal_lift(curve, quat.to_vec3(xi), side, quat.ONE, step=step)
+        splines.append(_spline.cubic(lift.params, lift.samples))
+    spl1, spl2 = splines
+    p1, p2 = float(spl1.x[-1]), float(spl2.x[-1])
     grid = construct(
-        a, b, spl1, spl2, x1, x2,
+        a, b, spl1, spl2, np.linspace(0.0, p1, n1), np.linspace(0.0, p2, n2),
         dgamma1=spl1.derivative(), dgamma2=spl2.derivative(),
         t1_range=(0.0, p1), t2_range=(0.0, p2),
     )
-
-    s1 = _snap_rational(q1, denominator_limit, snap_tol)
-    s2 = _snap_rational(q2, denominator_limit, snap_tol)
-    if s1 is None or s2 is None:
-        lattice = NoLattice(
-            q1, q2,
-            reason=f"fiber rotation numbers do not snap to rationals with "
-                   f"denominator at most {denominator_limit}",
-        )
-    else:
-        lattice = PeriodLattice(
-            p1=p1, p2=p2, q1=s1, q2=s2, q1_measured=q1, q2_measured=q2,
-            axis1=quat.to_vec3(xi1), axis2=-quat.to_vec3(xi2),
-        )
-    return grid, lattice
+    # off-circle bound 10 tol = 1e-6, the bound sphere.holonomy puts on a lift
+    return grid, _lattice(grid.factors, p1, p2, tol=1e-7)
 
 
 def _detect_period(curve_fn, lo, hi, tol=1e-6):
@@ -941,8 +933,71 @@ def _detect_period(curve_fn, lo, hi, tol=1e-6):
     return best
 
 
-def period_lattice(factors, p1=None, p2=None, tol=1e-6,
-                   denominator_limit=64, snap_tol=1e-6):
+def _lattice(factors, p1, p2, tol):
+    """The lattice `period_lattice` reads, with a failure to snap or to pass
+    the divisibility rule returned as NoLattice instead of raised."""
+    tol = _finite(tol, "tol")
+    reads, worst = [], 0.0
+    for k, (gamma, axis, rng, p, side) in enumerate((
+        (factors.gamma1, factors.axis1(), factors.t1_range, p1, "right"),
+        (factors.gamma2, factors.axis2(), factors.t2_range, p2, "left"),
+    ), start=1):
+        w = _norm_and_unit(quat.to_vec3(axis))[1]
+        lo, hi = rng or (0.0, _TWO_PI)
+        if p is None:
+            p = _detect_period(lambda t: sphere.hopf(w, side, _eval_curve(gamma, t)), lo, hi, tol)
+        p = _finite(p, f"p{k}")
+        if p <= 0:
+            raise ValidationError("periods must be positive")
+        E = quat.normalize(_eval_curve(gamma, np.array([p]))[0])
+        # quasiperiodic displacement check inside the trusted domain
+        if hi - lo > p + 1e-9:
+            ts = np.linspace(lo, hi - p, 9)
+            G = _eval_curve(gamma, ts)
+            pred = quat.mul(E, G) if side == "right" else quat.mul(G, E)
+            gap = np.linalg.norm(_eval_curve(gamma, ts + p) - pred, axis=-1)
+            worst = max(worst, float(gap.max()))
+        reads.append((p, w, *sphere.fiber_angle(E, w)))
+    (p1, w1, psi1, off1), (p2, w2, psi2, off2) = reads
+    if off1 > 10.0 * tol or off2 > 10.0 * tol:
+        raise NoMaximalLattice(
+            f"a factor holonomy element lies off its fiber circle "
+            f"(offsets {off1:.3e}, {off2:.3e}); the factors are not quasiperiodic "
+            "about the product axes"
+        )
+    if worst > 100.0 * tol:
+        raise NoMaximalLattice(
+            f"the factors are not quasiperiodic over ({p1:.6g}, {p2:.6g}): "
+            f"displacement residual {worst:.3e}"
+        )
+    q1, q2 = (-psi1 / _TWO_PI) % 1.0, (psi2 / _TWO_PI) % 1.0
+    s1, s2 = (_snap_rational(q, _DENOMINATOR_LIMIT, _SNAP_TOL) for q in (q1, q2))
+    if s1 is None or s2 is None:
+        return NoLattice(q1, q2, "fiber rotation numbers do not snap to rationals with "
+                                 f"denominator at most {_DENOMINATOR_LIMIT}")
+
+    # the divisibility rule must reproduce exact translations of the pair (a, b)
+    m, n = np.mgrid[-8:9, -8:9].reshape(2, -1)
+    on = _divisible(s1, s2, m, n)
+    m, n = m[on], n[on]
+    E1m = quat.exp_im(quat.from_vec3((m * psi1)[:, None] * w1))
+    E2n = quat.exp_im(quat.from_vec3((n * psi2)[:, None] * w2))
+    res = np.maximum(*(np.linalg.norm(quat.mul(E2n, quat.mul(c, E1m)) - c, axis=-1)
+                       for c in (factors.a, factors.b)))
+    snap_err = max(abs(float(s1) - q1), abs(float(s2) - q2))
+    allowance = 100.0 * tol + 4.0 * math.pi * (np.abs(m) + np.abs(n)) * snap_err
+    failed = np.flatnonzero(res > allowance)
+    if failed.size:
+        i = failed[0]
+        return NoLattice(q1, q2, f"lattice candidate ({m[i]}, {n[i]}) fails the "
+                                 f"translation check with residual {res[i]:.3e}")
+    return PeriodLattice(
+        p1=p1, p2=p2, q1=s1, q2=s2, q1_measured=q1, q2_measured=q2,
+        axis1=w1, axis2=w2, rule_residual=float(res.max()),
+    )
+
+
+def period_lattice(factors, p1=None, p2=None, tol=1e-6):
     """Period lattice of a doubly-periodic product immersion.
 
     The factor curves are quasiperiodic over the periods p1, p2 of their
@@ -952,90 +1007,10 @@ def period_lattice(factors, p1=None, p2=None, tol=1e-6,
     snapped to rationals and the divisibility rule m q1 - n q2 integer is
     verified against the holonomy algebra; failures raise NoMaximalLattice.
     """
-    a, b = factors.a, factors.b
-    w1, w2 = (v / np.linalg.norm(v) for v in (quat.to_vec3(factors.axis1()),
-                                               quat.to_vec3(factors.axis2())))
-
-    rng1 = factors.t1_range or (0.0, _TWO_PI)
-    rng2 = factors.t2_range or (0.0, _TWO_PI)
-    if p1 is None:
-        p1 = _detect_period(
-            lambda t: sphere.hopf(w1, "right", _eval_curve(factors.gamma1, t)),
-            rng1[0], rng1[1], tol,
-        )
-    if p2 is None:
-        p2 = _detect_period(
-            lambda t: sphere.hopf(w2, "left", _eval_curve(factors.gamma2, t)),
-            rng2[0], rng2[1], tol,
-        )
-    if p1 <= 0 or p2 <= 0:
-        raise ValidationError("periods must be positive")
-
-    E1 = quat.normalize(_eval_curve(factors.gamma1, np.array([p1]))[0])
-    E2 = quat.normalize(_eval_curve(factors.gamma2, np.array([p2]))[0])
-    psi1, off1 = sphere.fiber_angle(E1, w1)
-    psi2, off2 = sphere.fiber_angle(E2, w2)
-    if off1 > 10.0 * tol or off2 > 10.0 * tol:
-        raise NoMaximalLattice(
-            f"a factor holonomy element lies off its fiber circle "
-            f"(offsets {off1:.3e}, {off2:.3e}); the factors are not quasiperiodic "
-            "about the product axes"
-        )
-    q1 = (-psi1 / _TWO_PI) % 1.0
-    q2 = (psi2 / _TWO_PI) % 1.0
-
-    # quasiperiodic displacement check inside the trusted domains
-    worst = 0.0
-    if rng1[1] - rng1[0] > p1 + 1e-9:
-        ts = np.linspace(rng1[0], rng1[1] - p1, 9)
-        shift = _eval_curve(factors.gamma1, ts + p1)
-        pred = quat.mul(E1, _eval_curve(factors.gamma1, ts))
-        worst = max(worst, float(np.linalg.norm(shift - pred, axis=-1).max()))
-    if rng2[1] - rng2[0] > p2 + 1e-9:
-        ts = np.linspace(rng2[0], rng2[1] - p2, 9)
-        shift = _eval_curve(factors.gamma2, ts + p2)
-        pred = quat.mul(_eval_curve(factors.gamma2, ts), E2)
-        worst = max(worst, float(np.linalg.norm(shift - pred, axis=-1).max()))
-    if worst > 100.0 * tol:
-        raise NoMaximalLattice(
-            f"the factors are not quasiperiodic over ({p1:.6g}, {p2:.6g}): "
-            f"displacement residual {worst:.3e}"
-        )
-
-    s1 = _snap_rational(q1, denominator_limit, snap_tol)
-    s2 = _snap_rational(q2, denominator_limit, snap_tol)
-    if s1 is None or s2 is None:
-        raise NoMaximalLattice(
-            f"fiber rotation numbers ({q1:.8f}, {q2:.8f}) do not snap to rationals "
-            f"with denominator at most {denominator_limit}"
-        )
-
-    # the divisibility rule must reproduce exact translations of the pair (a, b)
-    rule_residual = 0.0
-    snap_err = max(abs(float(s1) - q1), abs(float(s2) - q2))
-    for m in range(-8, 9):
-        for n in range(-8, 9):
-            if (Fraction(m) * s1 - Fraction(n) * s2).denominator != 1:
-                continue
-            E1m = quat.exp_im(quat.from_vec3(m * psi1 * w1))
-            E2n = quat.exp_im(quat.from_vec3(n * psi2 * w2))
-            res = max(
-                float(np.linalg.norm(quat.mul(E2n, quat.mul(a, E1m)) - a)),
-                float(np.linalg.norm(quat.mul(E2n, quat.mul(b, E1m)) - b)),
-            )
-            allowance = 100.0 * tol + 4.0 * math.pi * (abs(m) + abs(n)) * snap_err
-            if res > allowance:
-                raise NoMaximalLattice(
-                    f"lattice candidate ({m}, {n}) fails the translation check "
-                    f"with residual {res:.3e}"
-                )
-            rule_residual = max(rule_residual, res)
-
-    return PeriodLattice(
-        p1=float(p1), p2=float(p2), q1=s1, q2=s2,
-        q1_measured=q1, q2_measured=q2,
-        axis1=w1, axis2=w2, rule_residual=rule_residual,
-    )
+    lattice = _lattice(factors, p1, p2, tol)
+    if isinstance(lattice, NoLattice):
+        raise NoMaximalLattice(lattice.reason)
+    return lattice
 
 
 @dataclass

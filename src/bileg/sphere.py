@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from . import _spline, quat
+from ._fd import finite as _finite
 from ._fd import norm_and_unit as _norm_and_unit
 from ._fd import prefix_products as _prefix_products
 from ._fd import require_finite as _require_finite
@@ -108,6 +109,7 @@ def rotate_A(x, y, z, tol=1e-8):
     2-plane.  The result stays in that plane and applying the map twice gives
     -z, so this is the positive pseudo-involution attached to the pair.
     """
+    tol = _finite(tol, "tol")
     xq = _as_quat4(x, "x")
     yq = _as_quat4(y, "y")
     zq = _as_quat4(z, "z")
@@ -272,7 +274,10 @@ def reparametrize(curve, n=None):
 
     The (b/4) metric halves the unit-sphere length.
     """
-    n_out = len(curve) if n is None else int(n)
+    n_out = len(curve) if n is None else _finite(n, "n")
+    if n_out != int(n_out):
+        raise ValidationError(f"n must be an integer, got {n!r}")
+    n_out = int(n_out)
     if n_out < 2:
         raise ValidationError("need at least 2 output samples")
     arc = _ArcLength(curve)
@@ -494,6 +499,7 @@ def holonomy(lift, period, tol=1e-6):
     gamma(t + p) = gamma(t) . element at every interior sample.  Right lifts
     use gamma(p) gamma(0)^-1 acting on the left.
     """
+    tol = _finite(tol, "tol")
     t0, t1 = lift.params[0], lift.params[-1]
     if not 0.0 < period <= t1 - t0 + 1e-9:
         raise ValidationError("period must be positive and within the lifted range")
@@ -549,6 +555,7 @@ def holonomy_area_check(curve, axis, side, step=1e-3, tol=1e-6):
     q = -area/4pi mod 1, right lifts the opposite sign.
     """
     _check_side(side)
+    tol = _finite(tol, "tol")
     if not curve.closed:
         raise ValidationError("holonomy against area needs a closed curve")
     unit = reparametrize(curve, n=max(len(curve), 4096))

@@ -305,6 +305,34 @@ class TestSineGordon:
             cec.ThetaGrid(x, x, theta, k=1.0)
 
 
+def _symmetric_theta_grid(**constants):
+    x = np.linspace(-1.0, 1.0, 17)
+    theta = 0.7 + 0.1 * (x[:, None] + x[None, :])
+    return cec.ThetaGrid(x, x, theta, **{"k": 1.0, **constants})
+
+
+@pytest.mark.parametrize("check", [
+    lambda tol: cec.flat_metric(cec.pseudosphere_patch(16), 1.0, "+", tol=tol),
+    lambda tol: cec.hazzidaki(_symmetric_theta_grid(), tol=tol),
+], ids=["flat_metric", "hazzidaki"])
+def test_non_finite_tolerances_are_refused(check):
+    # a NaN tolerance used to pass every `residual > tol` check silently
+    with pytest.raises(ValidationError, match="tol must be finite"):
+        check(math.nan)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: cec.gauss_lift(sphere_patch(1.0, n=17), math.nan),
+    lambda: cec.flat_metric(cec.pseudosphere_patch(16), math.nan, "+"),
+    lambda: cec.chebyshev_forms(_symmetric_theta_grid(), k=math.nan),
+    lambda: _symmetric_theta_grid(k=math.inf),
+    lambda: _symmetric_theta_grid(c=math.nan),
+], ids=["gauss_lift", "flat_metric", "chebyshev_forms", "theta_grid_k", "theta_grid_c"])
+def test_non_finite_curvature_constants_are_refused(call):
+    with pytest.raises(ValidationError, match="must be finite"):
+        call()
+
+
 class TestHazzidaki:
     def test_wave_solution_is_exact(self):
         # theta = a + b(x + y): theta_uv = 0 exactly, even under differencing

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bileg import quat, sphere
+from bileg import factory, quat, sphere
 from bileg.errors import (
     NoMaximalLattice,
     NotFactorizable,
@@ -458,6 +458,17 @@ def test_asymptotic_frame_clifford():
         assert np.abs(dets - 1.0).max() < 1e-9
 
 
+@pytest.mark.parametrize("check", [
+    lambda tol: asymptotic_frame(_clifford_grid(n=17), 1, tol=tol),
+    lambda tol: period_lattice(Factorization(quat.ONE, quat.QK, G1, G2, t1_range=(0.0, math.pi),
+                                             t2_range=(0.0, math.pi)), tol=tol),
+], ids=["asymptotic_frame", "period_lattice"])
+def test_non_finite_tolerances_are_refused(check):
+    # a NaN tolerance used to pass every `residual > tol` check silently
+    with pytest.raises(ValidationError, match="tol must be finite"):
+        check(math.nan)
+
+
 def test_asymptotic_frame_curvature_matches_angle():
     f = lambda t: 0.25 + 0.2 * np.sin(1.3 * t)
     g = lambda t: -0.15 + 0.1 * np.cos(t)
@@ -487,6 +498,14 @@ def test_from_theta_clifford_limit():
     expect_y = quat.mul(G2(xx2), quat.mul(quat.QK, G1(xx1)))
     assert np.abs(grid.X - expect).max() < 1e-8
     assert np.abs(grid.Y - expect_y).max() < 1e-8
+
+
+@pytest.mark.parametrize("step", [0.0, -1e-3, math.nan, 0.2])
+def test_from_theta_refuses_bad_steps(step):
+    x = np.linspace(-0.2, 0.2, 9)
+    zero = lambda t: np.zeros_like(np.asarray(t, float))
+    with pytest.raises(ValidationError, match=r"step must lie in \(0, 0.1\]"):
+        from_theta(0.7, zero, zero, x, x, step=step)
 
 
 def test_from_theta_random_potentials():
@@ -519,6 +538,51 @@ def test_projection_immersion_margin():
 
 # doubly periodic products
 
+# the divisibility check as the Fraction double loop the array pass replaced;
+# the products m s1 and n s2 are formed once per row and column
+
+
+def _reference_candidates(s1, s2):
+    """Every |m|, |n| <= 8 with m s1 - n s2 an integer, in (m, n) order."""
+    ms = range(-8, 9)
+    rows = [Fraction(m) * s1 for m in ms]
+    cols = [Fraction(n) * s2 for n in ms]
+    return [(m, n) for m, x in zip(ms, rows) for n, y in zip(ms, cols)
+            if (x - y).denominator == 1]
+
+
+def _reference_rule_residual(factors, lat):
+    """Worst |exp(n psi2 w2) c exp(m psi1 w1) - c| over c = a, b and the
+    candidates, one quaternion at a time."""
+    psi1, psi2 = (sphere.fiber_angle(quat.normalize(gamma(np.array([p]))[0]), w)[0]
+                  for gamma, p, w in ((factors.gamma1, lat.p1, lat.axis1),
+                                      (factors.gamma2, lat.p2, lat.axis2)))
+    worst = 0.0
+    for m, n in _reference_candidates(lat.q1, lat.q2):
+        E1m = quat.exp_im(quat.from_vec3(m * psi1 * lat.axis1))
+        E2n = quat.exp_im(quat.from_vec3(n * psi2 * lat.axis2))
+        for c in (factors.a, factors.b):
+            worst = max(worst, float(np.linalg.norm(quat.mul(E2n, quat.mul(c, E1m)) - c)))
+    return worst
+
+
+def _assert_rule_residual(factors, lat):
+    assert abs(lat.rule_residual - _reference_rule_residual(factors, lat)) <= 1e-15
+
+
+def test_divisibility_rule_matches_fraction_loop():
+    m, n = np.mgrid[-8:9, -8:9].reshape(2, -1)
+    small = sorted({Fraction(a, b) for b in range(1, 9) for a in range(b)})
+    pairs = [(s1, s2) for s1 in small for s2 in small]
+    rng = np.random.default_rng(14)
+    for _ in range(200):
+        b1, b2 = (int(b) for b in rng.integers(1, 65, size=2))
+        pairs.append((Fraction(int(rng.integers(b1)), b1), Fraction(int(rng.integers(b2)), b2)))
+    assert len(pairs) == 22 * 22 + 200
+    for s1, s2 in pairs:
+        on = factory._divisible(s1, s2, m, n)
+        assert list(zip(m[on].tolist(), n[on].tolist())) == _reference_candidates(s1, s2)
+
 
 def test_torus_ansatz_great_circles():
     c1 = latitude_through([0, 0, 1], [1, 0, 0], math.pi / 2)
@@ -529,6 +593,7 @@ def test_torus_ansatz_great_circles():
     assert abs(lat.p2 - math.pi) < 1e-9
     assert lat.q1 == Fraction(1, 2)
     assert lat.q2 == Fraction(1, 2)
+    _assert_rule_residual(grid.factors, lat)
     assert lat.contains(1, 1) and lat.contains(2, 0) and lat.contains(0, 2)
     assert not lat.contains(1, 0) and not lat.contains(0, 1)
     rep = flat_torus_criteria(grid, lat)
@@ -549,6 +614,7 @@ def test_torus_ansatz_cap_two_thirds():
     assert lat.q1 == Fraction(2, 3)
     assert lat.q2 == Fraction(2, 3)
     assert abs(lat.q1_measured - 2.0 / 3.0) < 1e-9
+    _assert_rule_residual(grid.factors, lat)
     assert abs(lat.p1 - math.pi * math.sin(math.acos(1.0 / 3.0))) < 1e-9
     # lattice rule m = n mod 3
     assert lat.contains(1, 1) and lat.contains(3, 0) and lat.contains(0, 3)
@@ -586,6 +652,16 @@ def test_period_lattice_detection():
     assert lat.q1 == Fraction(1, 2)
     assert lat.q2 == Fraction(1, 2)
     assert lat.rule_residual < 1e-9
+    _assert_rule_residual(fac, lat)
+
+
+@pytest.mark.parametrize("p1", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_period_lattice_refuses_bad_periods(p1):
+    fac = Factorization(quat.ONE, quat.QK, G1, G2,
+                        t1_range=(0.0, 2 * math.pi), t2_range=(0.0, 2 * math.pi))
+    message = "positive" if math.isfinite(p1) else "p1 must be finite"
+    with pytest.raises(ValidationError, match=message):
+        period_lattice(fac, p1=p1, p2=math.pi)
 
 
 def test_period_lattice_wrong_period():
@@ -668,3 +744,5 @@ def test_torus_ansatz_general_orthonormal_pair():
         assert lat.q1 == Fraction(1, 2) and lat.q2 == Fraction(1, 2)
         again = period_lattice(grid.factors, p1=lat.p1, p2=lat.p2)
         assert again.q1 == lat.q1 and again.q2 == lat.q2
+        for read in (lat, again):
+            _assert_rule_residual(grid.factors, read)

@@ -197,6 +197,12 @@ def test_reparametrize_latitude_length():
     assert abs(unit.b4_length - math.pi * math.sin(phi)) < 1e-8
 
 
+@pytest.mark.parametrize("n", [math.nan, math.inf, 2.5, 1, 0])
+def test_reparametrize_needs_an_integral_count_of_two_or_more(n):
+    with pytest.raises(ValidationError):
+        reparametrize(_great_circle_curve(n=257), n=n)
+
+
 def test_reparametrize_degenerate():
     samples = np.broadcast_to(I3, (64, 3)).copy()
     curve = SphereCurve(samples, np.linspace(0, 1, 64), closed=True)
@@ -353,6 +359,23 @@ def test_holonomy_rejects_wrong_period():
         holonomy(lift, math.pi / 2)
     with pytest.raises(ValidationError):
         holonomy(lift, 10.0)
+
+
+def _great_circle_lift():
+    curve = _great_circle_curve(n=2001)
+    return horizontal_lift(curve, I3, "left", np.array([1.0, 0, 0, 0]), step=1e-2)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf])
+@pytest.mark.parametrize("check", [
+    lambda tol: holonomy(_great_circle_lift(), math.pi, tol=tol),
+    lambda tol: holonomy_area_check(latitude_circle(I3, 1.0, n=512), I3, "left", tol=tol),
+    lambda tol: rotate_A(quat.ONE, quat.QI, quat.QJ, tol=tol),
+], ids=["holonomy", "holonomy_area_check", "rotate_A"])
+def test_non_finite_tolerances_are_refused(check, tol):
+    # a NaN tolerance used to pass every `residual > tol` check silently
+    with pytest.raises(ValidationError, match="tol must be finite"):
+        check(tol)
 
 
 def test_holonomy_area_great_circle():
