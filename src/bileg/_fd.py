@@ -22,11 +22,24 @@ def require_finite(name, *grids, nodes=2):
 
 
 def finite(value, name):
-    """float(value), or ValidationError when it is NaN or infinite."""
-    value = float(value)
+    """float(value), or ValidationError when it is no number, NaN or infinite."""
+    try:
+        value = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{name} must be a number, got {value!r}") from None
     if not math.isfinite(value):
         raise ValidationError(f"{name} must be finite, got {value!r}")
     return value
+
+
+def count(value, name, low):
+    """int(value) for a whole number of at least low, or ValidationError."""
+    value = finite(value, name)
+    if value != int(value):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValidationError(f"{name} must be at least {low}, got {int(value)}")
+    return int(value)
 
 
 def norm_and_unit(v):

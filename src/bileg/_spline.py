@@ -5,7 +5,9 @@ A `Spline` holds knots x (strictly increasing) and coefficients c of shape
 sum_m c[m, ..., i] (t - x[i])^(degree - m).  c[-1] holds the knot values
 and, for a cubic, c[-2] the knot slopes.  The interval axis comes last, so
 the arithmetic of an evaluation runs along the points.  `cubic` builds the
-not-a-knot or periodic interpolant of samples y over x.  `TensorSpline` is
+not-a-knot or periodic interpolant of samples y over x; `hermite` builds the
+cubic Hermite interpolant of values and slopes that are both known, as an
+ODE integrator gives them, and solves nothing.  `TensorSpline` is
 the tensor product of two not-a-knot cubics, the interpolating bicubic
 (FITPACK's s = 0 fit puts its knots at x[2:-2], which is not-a-knot).
 
@@ -171,6 +173,25 @@ def cubic(x, y, periodic=False):
     flat = np.ascontiguousarray(y.reshape(n, -1).T)  # (K, n): one row per value component
     c = _hermite(dx, flat, _slopes(x, dx, flat, periodic))
     return Spline(x, c.reshape((4,) + y.shape[1:] + (n - 1,)), periodic)
+
+
+def hermite(x, y, dy):
+    """Cubic Hermite spline with values y and slopes dy at the knots x.
+
+    x is a strictly increasing finite 1-d array of at least 2 knots, and y
+    and dy have shape (len(x), ...).  No system is solved: each piece is the
+    cubic that takes the given values and slopes at its two ends.
+    """
+    x, y, dx = _checked(x, y)
+    dy = np.asarray(dy, dtype=float)
+    if dy.shape != y.shape:
+        raise ValidationError(
+            f"slopes must have the shape of the values {y.shape}, got {dy.shape}")
+    if not np.isfinite(dy).all():
+        raise ValidationError("slopes must be finite")
+    n = len(x)
+    c = _hermite(dx, y.reshape(n, -1).T, dy.reshape(n, -1).T)
+    return Spline(x, c.reshape((4,) + y.shape[1:] + (n - 1,)))
 
 
 def _slopes(x, dx, flat, periodic):

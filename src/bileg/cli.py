@@ -91,18 +91,10 @@ def _dump_json(obj):
     return json.dumps(obj) + "\n"
 
 
-def _float(value, name):
-    try:
-        value = float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"{name} must be a number, got {value!r}") from None
-    return finite(value, name)
-
-
 def _float_list(value, name, length):
     _require(isinstance(value, (list, tuple)) and len(value) == length,
              f"{name} must be a list of {length} numbers")
-    return [_float(v, f"each entry of {name}") for v in value]
+    return [finite(v, f"each entry of {name}") for v in value]
 
 
 def _float_array(value, name):
@@ -192,7 +184,7 @@ class CurveSpec:
             colat = self.payload.get("colatitude")
             _require(colat is not None, "latitude payload needs a colatitude")
             n = _count(self.payload.get("samples", 1024), "samples", 2)
-            return sphere.latitude_circle(axis, _float(colat, "colatitude"), n=n)
+            return sphere.latitude_circle(axis, finite(colat, "colatitude"), n=n)
         if self.kind == "great_circle":
             _require(self.closed, "great_circle curves are closed")
             n = _count(self.payload.get("samples", 4096), "samples", 8)
@@ -299,14 +291,14 @@ def load_tolerances(config_path=None, overrides=()):
                  "tolerance config needs a tolerances object")
         for k, v in data["tolerances"].items():
             _require(k in tols, f"unknown tolerance name {k!r}")
-            tols[k] = _float(v, f"tolerance {k}")
+            tols[k] = finite(v, f"tolerance {k}")
     for item in overrides:
         if "=" in item:
             name, _, value = item.partition("=")
             _require(name in tols, f"unknown tolerance name {name!r}")
-            tols[name] = _float(value, f"tolerance {name}")
+            tols[name] = finite(value, f"tolerance {name}")
         else:
-            everywhere = _float(item, "tolerance")
+            everywhere = finite(item, "tolerance")
             tols = {k: everywhere for k in tols}
     return tols
 
@@ -404,7 +396,7 @@ def cmd_construct(args):
     grid = factory.construct(a, b, gamma1, gamma2, x1, x2,
                              dgamma1=dgamma1, dgamma2=dgamma2,
                              t1_range=tuple(r1), t2_range=tuple(r2),
-                             tol=_float(args.tol, "--tol"))
+                             tol=finite(args.tol, "--tol"))
     block = {"a": grid.factors.a.tolist(), "b": grid.factors.b.tolist(),
              "gamma1": np.asarray(gamma1(x1)).tolist(),
              "gamma2": np.asarray(gamma2(x2)).tolist()}
@@ -415,7 +407,7 @@ def cmd_construct(args):
 
 def cmd_factorize(args):
     grid, _ = read_surface(args.inp)
-    fz = factory.factorize(grid, tol=_float(args.tol, "--tol"))
+    fz = factory.factorize(grid, tol=finite(args.tol, "--tol"))
     out = {"version": FORMAT_VERSION,
            "a": fz.a.tolist(), "b": fz.b.tolist(),
            "t1": grid.x1.tolist(),

@@ -46,6 +46,7 @@ import numpy as np
 
 from . import _spline, quat, sphere
 from ._fd import axis_array as _axis_array
+from ._fd import count as _count
 from ._fd import d_uniform as _d_uniform
 from ._fd import det4
 from ._fd import finite as _finite
@@ -725,14 +726,19 @@ def _frenet_generators(kappa, tau):
     return omega
 
 
-def _sample_potential(fn, t):
-    """fn on the parameter array t, point by point when fn does not broadcast."""
+def _sample_potential(fn, t, name):
+    """fn on the parameter array t, point by point when fn does not broadcast;
+    ValidationError naming fn when a value is not finite."""
     try:
         out = np.asarray(fn(t), dtype=float)
     except (TypeError, ValueError):
         out = None
     if out is None or out.shape != t.shape:
         out = np.array([float(fn(s)) for s in t])
+    bad = ~np.isfinite(out)
+    if bad.any():
+        i = int(bad.argmax())
+        raise ValidationError(f"potential {name} must be finite, {name}({t[i]!r}) = {out[i]!r}")
     return out
 
 
@@ -741,9 +747,12 @@ def _integrate_frenet(kappa_fn, tau, F0, t_lo, t_hi, step):
 
     kappa_fn maps an array of parameters to curvatures.  A classical RK4
     step of this linear ODE is F -> F P for one 4x4 matrix P per step.  The
-    steps are built together, orthonormalized by one batched QR with the
-    signs fixed so R has a positive diagonal (for orthogonal F that equals
-    orthonormalizing F P), and chained by a prefix matrix product.
+    steps are built together and each is moved onto SO(4) by one
+    Newton-Schulz polar step P (3I - P^T P) / 2 (Higham, Functions of
+    Matrices, SIAM 2008, ch. 8).  P^T P - I is of the order of the RK4 step
+    error and the polar step squares it; the result differs from the QR
+    factor of P by that order too.  The steps are chained by a prefix
+    matrix product.
     """
     eye = np.eye(4)
 
@@ -758,8 +767,9 @@ def _integrate_frenet(kappa_fn, tau, F0, t_lo, t_hi, step):
         a2 = (eye + 0.5 * h * a1) @ omega_mid
         a3 = (eye + 0.5 * h * a2) @ omega_mid
         a4 = (eye + h * a3) @ omega1
-        Q, R = np.linalg.qr(eye + (h / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4))
-        steps = Q * np.sign(np.diagonal(R, axis1=1, axis2=2))[:, None, :]
+        P = eye + (h / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+        # a contiguous transpose: a batched matmul on a strided one runs slower
+        steps = P @ (1.5 * eye - 0.5 * (np.ascontiguousarray(P.transpose(0, 2, 1)) @ P))
         out = np.empty((n + 1, 4, 4))
         out[0] = F0
         out[1:] = F0 @ _prefix_products(steps, np.matmul)
@@ -780,9 +790,20 @@ def from_theta(theta0, f, g, x1, x2, step=1e-3):
     return an array of the same shape.  The first factor solves the framed
     curve system with kappa = -2 f and tau = -1 from the identity frame; the
     second uses kappa = 2 g, tau = +1, and the initial direction rotated by
-    theta0 about the last imaginary axis.  Both are splined and assembled
-    with a = 1, b = k.
+    theta0 about the last imaginary axis.  Each factor is the cubic Hermite
+    spline through the integrator's samples of gamma and of its exact
+    derivative T; its velocity is the Hermite spline through T and
+    T' = kappa N - gamma, so no spline system is solved and the velocity
+    keeps the O(h^4) error of an interpolant.  The factors are assembled
+    with a = 1, b = k.  theta0 and step must be numbers and the potentials
+    finite, or ValidationError.
     """
+    theta0 = _finite(theta0, "theta0")
+    try:
+        step = float(step)
+    except (TypeError, ValueError):
+        raise ValidationError(f"step must be a number, got {step!r}") from None
+    # NaN fails the range test
     if not 0.0 < step <= 0.1:
         raise ValidationError(f"step must lie in (0, 0.1], got {step}")
     x1 = _axis_array(x1, "x1")
@@ -795,15 +816,20 @@ def from_theta(theta0, f, g, x1, x2, step=1e-3):
     v2 = np.array([0.0, math.cos(theta0), math.sin(theta0), 0.0])
     F0_2 = np.stack([quat.ONE, v2, quat.mul(quat.QK, v2), quat.QK], axis=-1)
 
-    ts1, G1, T1 = _integrate_frenet(lambda t: -2.0 * _sample_potential(f, t), -1.0,
-                                    F0_1, lo1, hi1, step)
-    ts2, G2, T2 = _integrate_frenet(lambda t: 2.0 * _sample_potential(g, t), 1.0,
-                                    F0_2, lo2, hi2, step)
-    spl_g1, spl_t1 = _spline.cubic(ts1, G1), _spline.cubic(ts1, T1)
-    spl_g2, spl_t2 = _spline.cubic(ts2, G2), _spline.cubic(ts2, T2)
+    def kappa1(t):
+        return -2.0 * _sample_potential(f, t, "f")
+
+    def kappa2(t):
+        return 2.0 * _sample_potential(g, t, "g")
+
+    ts1, G1, T1 = _integrate_frenet(kappa1, -1.0, F0_1, lo1, hi1, step)
+    ts2, G2, T2 = _integrate_frenet(kappa2, 1.0, F0_2, lo2, hi2, step)
+    # T' = kappa N - gamma, with N = k T on the first factor and -T k on the second
+    dT1 = kappa1(ts1)[:, None] * quat.mul(quat.QK, T1) - G1
+    dT2 = -kappa2(ts2)[:, None] * quat.mul(T2, quat.QK) - G2
     return construct(
-        quat.ONE, quat.QK, spl_g1, spl_g2, x1, x2,
-        dgamma1=spl_t1, dgamma2=spl_t2,
+        quat.ONE, quat.QK, _spline.hermite(ts1, G1, T1), _spline.hermite(ts2, G2, T2), x1, x2,
+        dgamma1=_spline.hermite(ts1, T1, dT1), dgamma2=_spline.hermite(ts2, T2, dT2),
         t1_range=(lo1, hi1), t2_range=(lo2, hi2),
     )
 
@@ -886,6 +912,7 @@ def torus_ansatz(a, b, c1, c2, n1=65, n2=65, step=1e-3):
     rectangle together with the PeriodLattice, or a NoLattice report when
     the rotation numbers fail to snap to rationals or the divisibility rule.
     """
+    n1, n2 = _count(n1, "n1", 2), _count(n2, "n2", 2)
     a, b = _orthonormal_pair(a, b)
     xi1 = quat.mul(quat.conj(a), b)
     xi2 = -quat.mul(b, quat.conj(a))

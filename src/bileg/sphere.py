@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from . import _spline, quat
+from ._fd import count as _count
 from ._fd import finite as _finite
 from ._fd import norm_and_unit as _norm_and_unit
 from ._fd import prefix_products as _prefix_products
@@ -213,6 +214,7 @@ def latitude_circle(axis, colatitude, n=1024, turns=1):
     a = _unit_axis(axis)
     if not 0.0 <= colatitude <= math.pi:
         raise ValidationError("colatitude must lie in [0, pi]")
+    n = _count(n, "n", 2)
     e1, e2 = axis_frame(a)
     t = np.linspace(0.0, _TWO_PI * turns, n)
     plane = np.cos(t)[:, None] * e1 - np.sin(t)[:, None] * e2
@@ -274,12 +276,7 @@ def reparametrize(curve, n=None):
 
     The (b/4) metric halves the unit-sphere length.
     """
-    n_out = len(curve) if n is None else _finite(n, "n")
-    if n_out != int(n_out):
-        raise ValidationError(f"n must be an integer, got {n!r}")
-    n_out = int(n_out)
-    if n_out < 2:
-        raise ValidationError("need at least 2 output samples")
+    n_out = _count(len(curve) if n is None else n, "n", 2)
     arc = _ArcLength(curve)
     if 0.5 * arc.min_speed < 1e-8:
         raise PreconditionError("curve has a stationary segment, cannot reparametrize")
@@ -591,7 +588,8 @@ def gauss_bonnet_check(curve, n=None):
         raise ValidationError("needs a closed curve")
     if len(curve) < 32:
         raise ValidationError("curve is under-resolved, need at least 32 samples")
-    m = max(1024, 2 * len(curve)) if n is None else int(n)
+    # the 5-point stencils need 5 nodes
+    m = max(1024, 2 * len(curve)) if n is None else _count(n, "n", 5)
 
     arc = _ArcLength(curve)
     if arc.min_speed < 1e-8:

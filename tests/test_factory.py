@@ -508,6 +508,29 @@ def test_from_theta_refuses_bad_steps(step):
         from_theta(0.7, zero, zero, x, x, step=step)
 
 
+@pytest.mark.parametrize("theta0, step, message", [
+    ("x", 1e-3, "theta0 must be a number"),
+    (math.nan, 1e-3, "theta0 must be finite"),
+    (0.7, "x", "step must be a number"),
+])
+def test_from_theta_refuses_non_numbers(theta0, step, message):
+    x = np.linspace(-0.2, 0.2, 9)
+    zero = lambda t: np.zeros_like(np.asarray(t, float))
+    with pytest.raises(ValidationError, match=message):
+        from_theta(theta0, zero, zero, x, x, step=step)
+
+
+@pytest.mark.parametrize("bad", ["f", "g"])
+def test_from_theta_names_a_non_finite_potential(bad):
+    x = np.linspace(-0.2, 0.2, 9)
+    zero = lambda t: np.zeros_like(np.asarray(t, float))
+    # finite at 0, NaN from t = 0.1 on
+    nan_past = lambda t: np.where(np.asarray(t, float) < 0.1, 0.0, np.nan)
+    f, g = (nan_past, zero) if bad == "f" else (zero, nan_past)
+    with pytest.raises(ValidationError, match=f"potential {bad} must be finite"):
+        from_theta(0.7, f, g, x, x)
+
+
 def test_from_theta_random_potentials():
     rng = np.random.default_rng(7)
     c1 = rng.uniform(-0.3, 0.3, size=3)
@@ -633,6 +656,20 @@ def test_torus_ansatz_rejects_wrong_start():
     c2 = latitude_through([0, 0, -1], [0, 1, 0], math.pi / 2, ccw=True)
     with pytest.raises(PreconditionError):
         torus_ansatz(quat.ONE, quat.QK, c1, c2, n1=17, n2=17)
+
+
+@pytest.mark.parametrize("counts, message", [
+    ({"n1": math.nan}, "n1 must be finite"),
+    ({"n1": 2.5}, "n1 must be an integer"),
+    ({"n2": 1}, "n2 must be at least 2"),
+    ({"n2": "x"}, "n2 must be a number"),
+])
+def test_torus_ansatz_refuses_bad_sample_counts(counts, message):
+    # np.linspace raised a builtin TypeError on NaN and 2.5
+    c1 = latitude_through([0, 0, 1], [1, 0, 0], math.pi / 2)
+    c2 = latitude_through([0, 0, -1], [0, 1, 0], math.pi / 2, ccw=True)
+    with pytest.raises(ValidationError, match=message):
+        torus_ansatz(quat.ONE, quat.QK, c1, c2, **counts)
 
 
 def test_torus_ansatz_irrational_rotation():

@@ -3,7 +3,8 @@
 The references below integrate the same ODEs one RK4 step at a time: the
 lift in its nonlinear form g' = g u(g) (left) or u(g) g (right), and the
 framed curve system with a QR renormalization after every step.  The batched
-integrators must agree with them to 1e-9.
+integrators must agree with them to 1e-9.  `from_theta` is also held against
+a reference that splines the QR frames with not-a-knot cubics of gamma and T.
 """
 
 import math
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bileg import factory, quat, sphere
+from bileg import _fd, _spline, factory, quat, sphere
 from bileg.sphere import (
     SphereCurve,
     holonomy_area_check,
@@ -162,6 +163,87 @@ def test_from_theta_agrees_with_reference(monkeypatch, potential):
     ref = factory.from_theta(0.8, f, g, x, x)
     assert np.abs(grid.X - ref.X).max() < AGREE
     assert np.abs(grid.Y - ref.Y).max() < AGREE
+
+
+# reference: from_theta on QR frames, with not-a-knot cubics through gamma and
+# through T as the factor curves and their velocities
+
+def _ref_from_theta(theta0, f, g, x1, x2, step, tol=1e-6):
+    margin = 2.0 * max(step, 1e-4)
+    lo1, hi1 = min(x1[0], 0.0) - margin, max(x1[-1], 0.0) + margin
+    lo2, hi2 = min(x2[0], 0.0) - margin, max(x2[-1], 0.0) + margin
+    v2 = np.array([0.0, math.cos(theta0), math.sin(theta0), 0.0])
+    F0_2 = np.stack([quat.ONE, v2, quat.mul(quat.QK, v2), quat.QK], axis=-1)
+    ts1, G1, T1 = _ref_frenet(lambda t: -2.0 * f(t), -1.0, np.eye(4), lo1, hi1, step)
+    ts2, G2, T2 = _ref_frenet(lambda t: 2.0 * g(t), 1.0, F0_2, lo2, hi2, step)
+    return factory.construct(
+        quat.ONE, quat.QK, _spline.cubic(ts1, G1), _spline.cubic(ts2, G2), x1, x2,
+        dgamma1=_spline.cubic(ts1, T1), dgamma2=_spline.cubic(ts2, T2),
+        t1_range=(lo1, hi1), t2_range=(lo2, hi2), tol=tol)
+
+
+def _seeded_theta_data(seed, scale):
+    rng = np.random.default_rng(seed)
+    f = _quadratic(rng.uniform(-scale, scale, size=3))
+    g = _quadratic(rng.uniform(-scale, scale, size=3))
+    return float(rng.uniform(0.4, 1.1)), f, g
+
+
+def _factor_samples(grid):
+    """X, Y and the two factor velocities on the grid's axes."""
+    return (grid.X, grid.Y, grid.factors.velocity1(grid.x1), grid.factors.velocity2(grid.x2))
+
+
+def _theta(grid):
+    return factory.angle_function(grid).theta
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_from_theta_agrees_with_qr_not_a_knot_reference(seed):
+    theta0, f, g = _seeded_theta_data(seed, 0.3)
+    half_width = 0.15 + 0.05 * seed  # 0.15 .. 0.35
+    x = np.linspace(-half_width, half_width, 41)
+    grid = factory.from_theta(theta0, f, g, x, x)
+    ref = _ref_from_theta(theta0, f, g, x, x, 1e-3)
+    for got, want in zip(_factor_samples(grid), _factor_samples(ref)):
+        assert np.abs(got - want).max() < AGREE
+    assert np.abs(_theta(grid) - _theta(ref)).max() < AGREE
+
+
+@pytest.mark.parametrize("seed, half_width", [(5, 0.2), (6, 0.3)])
+def test_from_theta_agrees_with_reference_at_the_coarsest_step(seed, half_width):
+    # At step 0.1 the grid lies on the knots: between them the two kinds of
+    # spline differ by their own interpolation errors, about 1e-6.  On the
+    # knots the polar and QR steps still differ by about 1e-8, so X, Y and
+    # the velocities are held to a tenth of the reference's own error against
+    # a step of 1e-4, and theta to AGREE.  The reference's not-a-knot
+    # velocities miss unit speed by 1.6e-6 or more at this step even for zero
+    # potentials, so its construct check runs at 1e-4; from_theta keeps 1e-6.
+    theta0, f, g = _seeded_theta_data(seed, 0.1)
+    x = 0.1 * np.arange(-round(half_width / 0.1), round(half_width / 0.1) + 1)
+    grid = factory.from_theta(theta0, f, g, x, x, step=0.1)
+    ref = _ref_from_theta(theta0, f, g, x, x, 0.1, tol=1e-4)
+    fine = factory.from_theta(theta0, f, g, x, x, step=1e-4)
+    for got, want, exact in zip(*map(_factor_samples, (grid, ref, fine))):
+        assert np.abs(got - want).max() < 0.1 * np.abs(want - exact).max()
+    assert np.abs(_theta(grid) - _theta(ref)).max() < AGREE
+
+
+def test_chained_frenet_frames_stay_orthogonal(monkeypatch):
+    chained = []
+
+    def recording(steps, combine):
+        chained.append(_fd.prefix_products(steps, combine))
+        return chained[-1]
+
+    monkeypatch.setattr(factory, "_prefix_products", recording)
+    theta0, f, g = _seeded_theta_data(11, 0.3)
+    x = np.linspace(-0.35, 0.35, 41)
+    factory.from_theta(theta0, f, g, x, x)
+    assert len(chained) == 4  # two factors, each integrated both ways from 0
+    for frames in chained:
+        gram = np.swapaxes(frames, 1, 2) @ frames - np.eye(4)
+        assert np.linalg.norm(gram, axis=(1, 2)).max() < 1e-12
 
 
 @settings(max_examples=8, deadline=None)

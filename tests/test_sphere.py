@@ -378,6 +378,41 @@ def test_non_finite_tolerances_are_refused(check, tol):
         check(tol)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: reparametrize(_great_circle_curve(n=2001), n="x"),
+    lambda: reparametrize(_great_circle_curve(n=2001), n=[1.0]),
+    lambda: holonomy_area_check(latitude_circle(I3, 1.0, n=512), I3, "left", tol="x"),
+    lambda: holonomy_area_check(latitude_circle(I3, 1.0, n=512), I3, "left", tol=None),
+], ids=["reparametrize-str", "reparametrize-list", "holonomy_area_check-str",
+        "holonomy_area_check-none"])
+def test_non_numbers_are_refused(call):
+    # float() raised a builtin ValueError or TypeError here
+    with pytest.raises(ValidationError, match="must be a number"):
+        call()
+
+
+@pytest.mark.parametrize("n, message", [
+    (math.nan, "n must be finite"),
+    (1024.7, "n must be an integer"),
+    (4, "n must be at least 5"),
+])
+def test_gauss_bonnet_refuses_bad_sample_counts(n, message):
+    # NaN raised a builtin ValueError, and 1024.7 was truncated to 1024
+    with pytest.raises(ValidationError, match=message):
+        gauss_bonnet_check(latitude_circle(I3, 1.0, n=512), n=n)
+
+
+@pytest.mark.parametrize("n, message", [
+    (math.nan, "n must be finite"),
+    (2.5, "n must be an integer"),
+    (0, "n must be at least 2"),
+])
+def test_latitude_circle_refuses_bad_sample_counts(n, message):
+    # np.linspace raised a builtin TypeError on NaN and 2.5, and n=0 an IndexError
+    with pytest.raises(ValidationError, match=message):
+        latitude_circle(I3, 1.0, n=n)
+
+
 def test_holonomy_area_great_circle():
     q_h, q_a, ok = holonomy_area_check(_great_circle_curve(n=4096), I3, "left")
     assert ok

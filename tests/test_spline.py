@@ -98,6 +98,43 @@ def test_refused_where_scipy_refuses(x, y, periodic):
         _spline.cubic(x, y, periodic=periodic)
 
 
+@pytest.mark.parametrize("n", [2, 3, 17])
+@pytest.mark.parametrize("jittered", [False, True])
+def test_hermite_reproduces_a_cubic(n, jittered):
+    rng = np.random.default_rng(n + 7 * jittered)
+    x = _knots(n, jittered, rng)
+    coeffs = rng.normal(size=(4, 3))  # a cubic in each of three components
+
+    def cubic(t, nu=0):
+        poly = np.polynomial.polynomial
+        return np.stack([poly.polyval(t, poly.polyder(c, nu)) for c in coeffs.T], axis=-1)
+
+    got = _spline.hermite(x, cubic(x), cubic(x, 1))
+    # inside, at every knot, and beyond both ends
+    t = np.concatenate([rng.uniform(x[0] - 0.7, x[-1] + 0.7, 500), x])
+    for nu in (0, 1, 2):
+        _close(got(t, nu), cubic(t, nu))
+
+
+def test_hermite_returns_the_slopes_at_the_knots():
+    rng = np.random.default_rng(3)
+    x = _knots(33, True, rng)
+    y, dy = rng.normal(size=(33, 4)), rng.normal(size=(33, 4))
+    got = _spline.hermite(x, y, dy)
+    _close(got(x), y)
+    _close(got(x, 1), dy)
+
+
+@pytest.mark.parametrize("dy, message", [
+    ([1.0, np.nan, 3.0], "slopes must be finite"),
+    ([1.0, 2.0, np.inf], "slopes must be finite"),
+    ([1.0, 2.0], "slopes must have the shape"),
+])
+def test_hermite_refuses_bad_slopes(dy, message):
+    with pytest.raises(ValidationError, match=message):
+        _spline.hermite([0.0, 1.0, 2.0], [1.0, 2.0, 3.0], dy)
+
+
 @pytest.mark.parametrize("nx, ny", [(41, 41), (97, 61)])
 def test_tensor_spline_matches_rect_bivariate_spline(nx, ny):
     rng = np.random.default_rng(nx * ny)
