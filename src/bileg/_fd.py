@@ -21,24 +21,41 @@ def require_finite(name, *grids, nodes=2):
         raise ValidationError(f"{name} must be finite, first bad {where}")
 
 
-def finite(value, name):
-    """float(value), or ValidationError when it is no number, NaN or infinite."""
-    try:
-        value = float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"{name} must be a number, got {value!r}") from None
-    if not math.isfinite(value):
-        raise ValidationError(f"{name} must be finite, got {value!r}")
+# the most samples, steps or grid nodes a call may ask for, checked before any is allocated
+MAX_COUNT = 1 << 20
+# int and float scalars, Python's and numpy's; a bool is an int and is refused apart
+_REALS = (int, float, np.integer, np.floating)
+
+
+def finite(value, name, low=None, high=math.inf):
+    """float(value) for a finite int or float scalar, Python's or numpy's, in
+    (low, high] when low is given; ValidationError for anything else."""
+    if type(value) is not float:
+        if isinstance(value, bool) or not isinstance(value, _REALS):
+            raise ValidationError(f"{name} must be a number, got {value!r}")
+        try:
+            value = float(value)
+        except OverflowError:  # an int beyond the float range
+            value = math.inf
+    if low is None:
+        if not math.isfinite(value):
+            raise ValidationError(f"{name} must be finite, got {value!r}")
+    elif not (low < value <= high and value < math.inf):
+        need = "be finite and positive" if (low, high) == (0, math.inf) else f"lie in ({low}, {high}]"
+        raise ValidationError(f"{name} must {need}, got {value!r}")
     return value
 
 
-def count(value, name, low):
-    """int(value) for a whole number of at least low, or ValidationError."""
-    value = finite(value, name)
-    if value != int(value):
+def count(value, name, low, high=MAX_COUNT):
+    """int(value) for a whole number in [low, high], an int or a float scalar as
+    `finite` takes them; ValidationError otherwise."""
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, _REALS)
+                                   or not finite(value, name).is_integer()):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
     if value < low:
-        raise ValidationError(f"{name} must be at least {low}, got {int(value)}")
+        raise ValidationError(f"{name} must be at least {low}, got {value}")
+    if value > high:
+        raise ValidationError(f"{name} must be at most {high}, got {value}")
     return int(value)
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._fd import axis_array, cross4, d_uniform, finite, require_finite, uniform_step
+from ._fd import MAX_COUNT, axis_array, count, cross4, d_uniform, finite, require_finite, uniform_step
 from ._spline import TensorSpline, cubic
 from .errors import PreconditionError, ValidationError
 
@@ -220,6 +220,7 @@ class GaussLift:
 
     def pullback_metric(self, sign=-1.0):
         """Grid of b(dx_a, dx_b) + sign b(dy_a, dy_b) over coordinate pairs."""
+        sign = finite(sign, "sign")
         sigma = _sigma(self.ambient)
         h1 = uniform_step(self.x1, "x1")
         h2 = uniform_step(self.x2, "x2")
@@ -241,9 +242,7 @@ def gauss_lift(patch, k):
     eta exactly when det(shape) = eta k, which the two omega_k residuals
     detect.
     """
-    k = finite(k, "k")
-    if k <= 0:
-        raise ValidationError("k must be positive")
+    k = finite(k, "k", 0)
     sigma = _sigma(patch.ambient)
     rk = math.sqrt(k)
     x = patch.e
@@ -351,10 +350,8 @@ def flat_metric(patch, k, sign, tol=1e-4):
     """
     if sign not in ("+", "-"):
         raise ValidationError("sign must be '+' or '-'")
-    k = finite(k, "k")
+    k = finite(k, "k", 0)
     tol = finite(tol, "tol")
-    if k <= 0:
-        raise ValidationError("k must be positive")
     forms = fundamental_forms(patch)
     target = k if sign == "-" else -k
     worst = float(np.abs(forms.det_shape - target).max())
@@ -404,9 +401,7 @@ class ThetaGrid:
             raise ValidationError(
                 f"theta must have shape {(len(self.x), len(self.y))}")
         require_finite("theta", self.theta)
-        if not self.k > 0:
-            raise ValidationError("k must be positive")
-        self.k = finite(self.k, "k")
+        self.k = finite(self.k, "k", 0)
         self.c = finite(self.c, "c")
 
     @property
@@ -421,9 +416,7 @@ def chebyshev_forms(tg, k=None):
     III = k diag(sin^2, cos^2); the extrinsic curvature is -k identically
     and the diagonal directions (1, +-1) are asymptotic.
     """
-    k = tg.k if k is None else finite(k, "k")
-    if k <= 0:
-        raise ValidationError("k must be positive")
+    k = tg.k if k is None else finite(k, "k", 0)
     th = tg.theta
     if th.min() <= 0.0 or th.max() >= 0.5 * math.pi:
         raise PreconditionError("theta must take values in the open interval (0, pi/2)")
@@ -532,9 +525,7 @@ def pseudosphere_patch(resolution, u_range=(0.5, 2.0), v_range=(0.0, math.pi)):
     u > 0, with normal (tanh u cos v, tanh u sin v, sech u); the principal
     curvatures are (-1/sinh u, sinh u).  The rim u = 0 is excluded.
     """
-    n = int(resolution)
-    if n < 8:
-        raise ValidationError("resolution must be at least 8")
+    n = count(resolution, "resolution", 8, math.isqrt(MAX_COUNT))
     if u_range[0] <= 0.0 or u_range[1] <= u_range[0]:
         raise ValidationError("u_range must be increasing with u > 0 away from the rim")
     u = np.linspace(u_range[0], u_range[1], n)
@@ -554,12 +545,11 @@ def hyperbolic_cylinder_patch(r, resolution, t_range=(-1.0, 1.0),
     gamma(t) = (0, 0, sinh t, cosh t); principal curvatures tanh r and
     coth r, so the extrinsic curvature is 1 for every r > 0.
     """
-    r = float(r)
-    if r <= 0.0:
-        raise ValidationError("r must be positive; the tube degenerates at r = 0")
-    n = int(resolution)
-    if n < 8:
-        raise ValidationError("resolution must be at least 8")
+    r = finite(r, "r", 0)
+    # past r = 355 cosh(r)^2 overflows; b(nu, nu) loses 1e-8 already near r = 10
+    if r > 20.0:
+        raise ValidationError(f"r must be at most 20, got {r}")
+    n = count(resolution, "resolution", 8, math.isqrt(MAX_COUNT))
     t = np.linspace(t_range[0], t_range[1], n)
     phi = np.linspace(phi_range[0], phi_range[1], n)
     tt, pp = np.meshgrid(t, phi, indexing="ij")

@@ -40,16 +40,13 @@ from importlib import resources
 
 import numpy as np
 from . import _spline, factory, quat, sphere
-from ._fd import finite, norm_and_unit
+from ._fd import MAX_COUNT, count, finite, norm_and_unit
 from .errors import BilegError, PreconditionError, ValidationError
 
 FORMAT_VERSION = "bileg/1"
 CURVE_KINDS = ("fourier", "samples", "latitude", "great_circle")
 _NAMED_AXES = {"i": (1.0, 0.0, 0.0), "j": (0.0, 1.0, 0.0), "k": (0.0, 0.0, 1.0)}
 _VECTOR_OPTIONS = ("--axis", "--start", "--pole")
-# largest curve sample count, and grid node count, that a file may ask for;
-# checked before anything of that size is allocated
-_MAX_COUNT = 1 << 20
 
 
 def _fmt(x):
@@ -104,38 +101,29 @@ def _float_array(value, name):
         raise ValidationError(f"{name} must be an array of numbers") from None
 
 
-def _count(value, name, low, high=_MAX_COUNT):
-    """An integral number (not a bool or a string) read from a file, in [low, high]."""
-    _require(type(value) is int or isinstance(value, float) and value.is_integer(),
-             f"{name} must be an integer, got {value!r}")
-    _require(low <= value <= high, f"{name} must lie between {low} and {high}, got {value}")
-    return int(value)
+def _parse_numbers(text, name, length):
+    """The `length` finite numbers of an option's comma-separated text, as an array."""
+    parts = text.split(",")
+    _require(len(parts) == length,
+             f"{name} must be {length} comma-separated numbers, got {text!r}")
+    try:
+        values = [float(p) for p in parts]
+    except ValueError:
+        raise ValidationError(f"{name} must be numeric, got {text!r}") from None
+    return np.array([finite(v, name) for v in values])
 
 
 def _parse_axis(text):
     """Axis from 'i', 'j', 'k', or a comma triple; normalized."""
     if text in _NAMED_AXES:
         return np.array(_NAMED_AXES[text])
-    parts = text.split(",")
-    _require(len(parts) == 3, f"axis must be i, j, k, or three comma numbers, got {text!r}")
-    try:
-        a = np.array([float(p) for p in parts])
-    except ValueError:
-        raise ValidationError(f"axis must be numeric, got {text!r}") from None
-    _require(np.isfinite(a).all(), f"axis must be finite, got {text!r}")
-    n, unit = norm_and_unit(a)
+    n, unit = norm_and_unit(_parse_numbers(text, "axis", 3))
     _require(n > 1e-9, "axis must be nonzero")
     return unit
 
 
 def _parse_quat(text, name="quaternion"):
-    parts = text.split(",")
-    _require(len(parts) == 4, f"{name} must be four comma numbers w,x,y,z, got {text!r}")
-    try:
-        q = np.array([float(p) for p in parts])
-    except ValueError:
-        raise ValidationError(f"{name} must be numeric, got {text!r}") from None
-    _require(np.isfinite(q).all(), f"{name} must be finite, got {text!r}")
+    q = _parse_numbers(text, name, 4)
     with np.errstate(over="ignore"):
         norm = np.linalg.norm(q)
     _require(norm > 1e-9, f"{name} must be nonzero")
@@ -181,13 +169,11 @@ class CurveSpec:
         axis = _unit3(self.axis, "axis")
         if self.kind == "latitude":
             _require(self.closed, "latitude curves are closed")
-            colat = self.payload.get("colatitude")
-            _require(colat is not None, "latitude payload needs a colatitude")
-            n = _count(self.payload.get("samples", 1024), "samples", 2)
-            return sphere.latitude_circle(axis, finite(colat, "colatitude"), n=n)
+            n = count(self.payload.get("samples", 1024), "samples", 2)
+            return sphere.latitude_circle(axis, self.payload.get("colatitude"), n=n)
         if self.kind == "great_circle":
             _require(self.closed, "great_circle curves are closed")
-            n = _count(self.payload.get("samples", 4096), "samples", 8)
+            n = count(self.payload.get("samples", 4096), "samples", 8)
             if n % 2 == 1:
                 n += 1  # an odd count puts a node antipodal to the start; the area fan degenerates there
             _, e2 = sphere.axis_frame(axis)
@@ -203,7 +189,7 @@ class CurveSpec:
                      "fourier cos and sin must be lists of 3-vectors")
             cos_terms, sin_terms = ([np.asarray(_float_list(v, "harmonic", 3)) for v in h]
                                     for h in harmonics)
-            n = _count(self.payload.get("samples", 2048), "samples", 2)
+            n = count(self.payload.get("samples", 2048), "samples", 2)
             t = np.linspace(0.0, 2.0 * math.pi, n)
             v = np.broadcast_to(mean, (n, 3)).copy()
             for m, c in enumerate(cos_terms, start=1):
@@ -265,7 +251,7 @@ def read_surface(path):
     _require(isinstance(header, dict), "surface file needs a header object")
     try:
         # no cap: the X and Y shape check that follows bounds them
-        n1, n2 = (_count(header[n], n, 2, math.inf) for n in ("n1", "n2"))
+        n1, n2 = (count(header[n], n, 2, math.inf) for n in ("n1", "n2"))
         r1 = _float_list(header["t1_range"], "t1_range", 2)
         r2 = _float_list(header["t2_range"], "t2_range", 2)
     except KeyError as exc:
@@ -296,9 +282,9 @@ def load_tolerances(config_path=None, overrides=()):
         if "=" in item:
             name, _, value = item.partition("=")
             _require(name in tols, f"unknown tolerance name {name!r}")
-            tols[name] = finite(value, f"tolerance {name}")
+            tols[name] = float(_parse_numbers(value, f"tolerance {name}", 1)[0])
         else:
-            everywhere = finite(item, "tolerance")
+            everywhere = float(_parse_numbers(item, "tolerance", 1)[0])
             tols = {k: everywhere for k in tols}
     return tols
 
@@ -308,9 +294,6 @@ def cmd_lift(args):
     curve = spec.decode()
     axis = _parse_axis(args.axis) if args.axis else _unit3(spec.axis, "axis")
     unit = sphere.reparametrize(curve, n=max(len(curve), 4096))
-    if args.step > 0.0:  # horizontal_lift rejects every other step
-        _require(unit.b4_length / args.step <= _MAX_COUNT,
-                 f"--step {args.step} needs more than {_MAX_COUNT} steps for this curve")
     if args.start is not None:
         start = _parse_quat(args.start, "start")
     else:
@@ -389,14 +372,14 @@ def cmd_construct(args):
     gamma2, dgamma2 = _decode_factor(data.get("gamma2"), "gamma2")
     r1 = _float_list(data.get("t1_range"), "t1_range", 2)
     r2 = _float_list(data.get("t2_range"), "t2_range", 2)
-    n1, n2 = _count(data.get("n1", 0), "n1", 2), _count(data.get("n2", 0), "n2", 2)
-    _require(n1 * n2 <= _MAX_COUNT, f"n1 * n2 must be at most {_MAX_COUNT}, got {n1 * n2}")
+    n1, n2 = count(data.get("n1", 0), "n1", 2), count(data.get("n2", 0), "n2", 2)
+    _require(n1 * n2 <= MAX_COUNT, f"n1 * n2 must be at most {MAX_COUNT}, got {n1 * n2}")
     x1 = np.linspace(r1[0], r1[1], n1)
     x2 = np.linspace(r2[0], r2[1], n2)
     grid = factory.construct(a, b, gamma1, gamma2, x1, x2,
                              dgamma1=dgamma1, dgamma2=dgamma2,
                              t1_range=tuple(r1), t2_range=tuple(r2),
-                             tol=finite(args.tol, "--tol"))
+                             tol=args.tol)
     block = {"a": grid.factors.a.tolist(), "b": grid.factors.b.tolist(),
              "gamma1": np.asarray(gamma1(x1)).tolist(),
              "gamma2": np.asarray(gamma2(x2)).tolist()}
@@ -407,7 +390,7 @@ def cmd_construct(args):
 
 def cmd_factorize(args):
     grid, _ = read_surface(args.inp)
-    fz = factory.factorize(grid, tol=finite(args.tol, "--tol"))
+    fz = factory.factorize(grid, tol=args.tol)
     out = {"version": FORMAT_VERSION,
            "a": fz.a.tolist(), "b": fz.b.tolist(),
            "t1": grid.x1.tolist(),

@@ -79,6 +79,7 @@ class Signature2:
         Orthonormalization is by eigen-decomposition with eigenvalues in
         descending order, so the result depends only on the signature.
         """
+        tol = _finite(tol, "tol")
         b2 = np.asarray(b2, dtype=float)
         if (b2.shape != (2, 2) or not np.isfinite(b2).all()
                 or abs(b2[0, 1] - b2[1, 0]) > tol):
@@ -429,11 +430,12 @@ def _orthogonal_unit_imaginary(x, tol=1e-9):
 
 def invariant_plane_test(P, x, tol=_TOL):
     """True iff m_x maps P into itself and P is not a real eigenspace of m_x."""
-    return _representation(P, x, tol) is not None
+    return _representation(P, x, _finite(tol, "tol")) is not None
 
 
 def bilagrangian_test(P, y1, y2, tol=_TOL):
     """True iff omega_{y1} and omega_{y2} both vanish on P."""
+    tol = _finite(tol, "tol")
     for y in (y1, y2):
         _require_unit_imaginary(y, "y")
     if abs(inner_g(y1, y2)) > 1e-7:
@@ -451,6 +453,7 @@ def classify_plane(P, x, tol=_DEGEN_TOL):
     only) or the graph of a multiplication operator over the even part; for
     negative x degeneracy means a ghat-null real eigenvector sits inside P.
     """
+    tol = _finite(tol, "tol")
     _require_odd(x)
     rep = _representation(P, x)
     if rep is None:
@@ -536,6 +539,7 @@ def principal_line(P, x, v, tol=1e-7):
     E_v is spanned by v and k*x*v; its intersection with the even part is one
     line, returned as a unit-coefficient element.
     """
+    tol = _finite(tol, "tol")
     _require_unit_imaginary(x, "x")
     _require_odd(x, "x")
     if inner_g(x, x) > 0:

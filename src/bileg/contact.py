@@ -273,8 +273,7 @@ def covariant_constancy_residual(form, path, fields, tensor, t0=0.0, h=1e-3):
     lies in W, so the flag reports whether that hypothesis held.
     """
     t0 = _finite(t0, "t0")
-    if not 0 < h <= 0.05:
-        raise ValidationError("step must lie in (0, 0.05]")
+    h = _finite(h, "h", 0, 0.05)
     if tensor not in _TENSORS:
         raise ValidationError(f"unknown tensor: {tensor!r}")
     pairing = _TENSORS[tensor][0]
@@ -365,6 +364,7 @@ def curvature_pairing(p, X, eta=None):
 
 def stabilizer_membership(M44, b2, tol=1e-9):
     """True iff the map is diag(N, N) with N preserving the plane form b2."""
+    tol = _finite(tol, "tol")
     M = np.asarray(M44, dtype=float)
     b2 = np.asarray(b2, dtype=float)
     if M.shape != (4, 4) or b2.shape != (2, 2):

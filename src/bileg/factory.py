@@ -45,6 +45,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _spline, quat, sphere
+from ._fd import MAX_COUNT
 from ._fd import axis_array as _axis_array
 from ._fd import count as _count
 from ._fd import d_uniform as _d_uniform
@@ -795,22 +796,19 @@ def from_theta(theta0, f, g, x1, x2, step=1e-3):
     derivative T; its velocity is the Hermite spline through T and
     T' = kappa N - gamma, so no spline system is solved and the velocity
     keeps the O(h^4) error of an interpolant.  The factors are assembled
-    with a = 1, b = k.  theta0 and step must be numbers and the potentials
-    finite, or ValidationError.
+    with a = 1, b = k.  Bad theta0, step (outside (0, 0.1] or over `MAX_COUNT`
+    steps each way) or potentials raise ValidationError; a step near 0.1 with
+    large potentials can miss `construct`'s 1e-6 check (PreconditionError).
     """
     theta0 = _finite(theta0, "theta0")
-    try:
-        step = float(step)
-    except (TypeError, ValueError):
-        raise ValidationError(f"step must be a number, got {step!r}") from None
-    # NaN fails the range test
-    if not 0.0 < step <= 0.1:
-        raise ValidationError(f"step must lie in (0, 0.1], got {step}")
+    step = _finite(step, "step", 0, 0.1)
     x1 = _axis_array(x1, "x1")
     x2 = _axis_array(x2, "x2")
     margin = 2.0 * max(step, 1e-4)
     lo1, hi1 = min(float(x1[0]), 0.0) - margin, max(float(x1[-1]), 0.0) + margin
     lo2, hi2 = min(float(x2[0]), 0.0) - margin, max(float(x2[-1]), 0.0) + margin
+    if max(-lo1, hi1, -lo2, hi2) > MAX_COUNT * step:
+        raise ValidationError(f"step {step} needs more than {MAX_COUNT} steps each way")
 
     F0_1 = np.eye(4)
     v2 = np.array([0.0, math.cos(theta0), math.sin(theta0), 0.0])
@@ -841,6 +839,7 @@ def projection_immersion_test(angle, tol=1e-9):
     pi / 2; the margin is the distance of the sampled angle range to that
     set, and the test passes when it stays positive.
     """
+    tol = _finite(tol, "tol")
     quarter = 0.5 * math.pi
     dist = np.abs((angle.theta + 0.5 * quarter) % quarter - 0.5 * quarter)
     margin = float(dist.min())
@@ -867,6 +866,7 @@ class PeriodLattice:
     rule_residual: float
 
     def contains(self, m, n):
+        m, n = _count(m, "m", -math.inf, math.inf), _count(n, "n", -math.inf, math.inf)
         return bool(_divisible(self.q1, self.q2, m, n))
 
 
@@ -973,9 +973,7 @@ def _lattice(factors, p1, p2, tol):
         lo, hi = rng or (0.0, _TWO_PI)
         if p is None:
             p = _detect_period(lambda t: sphere.hopf(w, side, _eval_curve(gamma, t)), lo, hi, tol)
-        p = _finite(p, f"p{k}")
-        if p <= 0:
-            raise ValidationError("periods must be positive")
+        p = _finite(p, f"p{k}", 0)
         E = quat.normalize(_eval_curve(gamma, np.array([p]))[0])
         # quasiperiodic displacement check inside the trusted domain
         if hi - lo > p + 1e-9:
@@ -1067,6 +1065,7 @@ def gauss_map(factors, x1=None, x2=None, samples=257):
     taking the first imaginary axis to -vec(conj(a).b), and m = a n conj(j)
     then solves both defining equations.
     """
+    samples = _count(samples, "samples", 2)
     i_axis = np.array([1.0, 0.0, 0.0])
     ab = quat.mul(quat.conj(factors.a), factors.b)
     n_q = sphere.hopf_preimage(i_axis, -quat.to_vec3(ab), "left")
@@ -1118,6 +1117,7 @@ class FlatTorusReport:
 
 def flat_torus_criteria(grid, lattice, tol=1e-5):
     """Evaluate the flat-torus criteria of a doubly-periodic immersion."""
+    tol = _finite(tol, "tol")
     if not isinstance(lattice, PeriodLattice):
         raise ValidationError("flat_torus_criteria needs a PeriodLattice")
     angle = angle_function(grid)

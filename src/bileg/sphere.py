@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from . import _spline, quat
+from ._fd import MAX_COUNT
 from ._fd import count as _count
 from ._fd import finite as _finite
 from ._fd import norm_and_unit as _norm_and_unit
@@ -212,9 +213,10 @@ def latitude_circle(axis, colatitude, n=1024, turns=1):
     (axis, e1, e2) right-handed, for t over `turns` full periods.
     """
     a = _unit_axis(axis)
-    if not 0.0 <= colatitude <= math.pi:
-        raise ValidationError("colatitude must lie in [0, pi]")
+    if not 0.0 <= _finite(colatitude, "colatitude") <= math.pi:
+        raise ValidationError(f"colatitude must lie in [0, pi], got {colatitude}")
     n = _count(n, "n", 2)
+    turns = _count(turns, "turns", 1)
     e1, e2 = axis_frame(a)
     t = np.linspace(0.0, _TWO_PI * turns, n)
     plane = np.cos(t)[:, None] * e1 - np.sin(t)[:, None] * e2
@@ -311,6 +313,7 @@ class HorizontalCurve:
     def at(self, t):
         """Lift point at parameter t, one partial integration step off the grid."""
         t0, t1 = self.params[0], self.params[-1]
+        t = _finite(t, "t")
         if t < t0 - 1e-9 or t > t1 + 1e-9:
             raise ValidationError(f"parameter {t} outside the lifted range [{t0}, {t1}]")
         t = min(max(t, t0), t1)
@@ -386,8 +389,7 @@ def horizontal_lift(curve, axis, side, start, step=1e-3):
     measured at the nodes.
     """
     _check_side(side)
-    if not 0.0 < step <= 0.1:
-        raise ValidationError(f"step must lie in (0, 0.1], got {step}")
+    step = _finite(step, "step", 0, 0.1)
     a = _unit_axis(axis)
     xi = quat.from_vec3(a)
     size, g0 = _norm_and_unit(_as_quat4(start, "start"))
@@ -405,6 +407,8 @@ def horizontal_lift(curve, axis, side, start, step=1e-3):
         raise PreconditionError("start does not project to the curve start")
 
     t0, t1 = float(curve.params[0]), float(curve.params[-1])
+    if t1 - t0 > MAX_COUNT * step:
+        raise ValidationError(f"step {step} needs more than {MAX_COUNT} steps over this curve")
     n_steps = max(1, math.ceil((t1 - t0) / step))
     h = (t1 - t0) / n_steps
     grid = t0 + h * np.arange(n_steps + 1)
@@ -438,7 +442,7 @@ def horizontal_lift(curve, axis, side, start, step=1e-3):
 
 def reduce_mod_4pi(value):
     """Reduce an angle-like quantity to the representative range (-2 pi, 2 pi]."""
-    r = math.fmod(value, _FOUR_PI)
+    r = math.fmod(_finite(value, "value"), _FOUR_PI)
     if r > _TWO_PI:
         r -= _FOUR_PI
     elif r <= -_TWO_PI:
@@ -498,8 +502,7 @@ def holonomy(lift, period, tol=1e-6):
     """
     tol = _finite(tol, "tol")
     t0, t1 = lift.params[0], lift.params[-1]
-    if not 0.0 < period <= t1 - t0 + 1e-9:
-        raise ValidationError("period must be positive and within the lifted range")
+    period = _finite(period, "period", 0, float(t1 - t0) + 1e-9)
     g_start = lift.samples[0]
     g_period = lift.at(t0 + period)
     if lift.side == "left":

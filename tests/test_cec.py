@@ -382,6 +382,22 @@ class TestHazzidaki:
             cec.hazzidaki(grid)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: _symmetric_theta_grid(k="x"), "k must be a number"),
+    (lambda: cec.pseudosphere_patch("x"), "resolution must be an integer"),
+    (lambda: cec.pseudosphere_patch(math.nan), "resolution must be finite"),
+    (lambda: cec.pseudosphere_patch(8.9), "resolution must be an integer"),
+    (lambda: cec.hyperbolic_cylinder_patch("x", 16), "r must be a number"),
+    (lambda: cec.hyperbolic_cylinder_patch(math.inf, 16), "r must be finite"),
+], ids=["theta_grid_k-str", "pseudosphere-str", "pseudosphere-nan", "pseudosphere-fraction",
+        "cylinder-str", "cylinder-inf"])
+def test_scalar_arguments_are_checked(call, message):
+    # TypeError or ValueError escaped from a comparison or from int() and float();
+    # 8.9 ran as 8, and an infinite radius raised an overflow RuntimeWarning
+    with pytest.raises(ValidationError, match=message):
+        call()
+
+
 class TestPatchGenerators:
     def test_pseudosphere_rejects_rim(self):
         with pytest.raises(ValidationError, match="rim"):

@@ -752,6 +752,16 @@ def test_covariant_constancy_rejects_non_finite_t0(bad):
             covariant_constancy_residual(EUCLIDEAN, path, (sec, sec), "g", t0=bad)
 
 
+@pytest.mark.parametrize("h", ["x", None])
+def test_covariant_constancy_refuses_a_non_number_step(h):
+    # the range test raised a builtin TypeError
+    x0 = np.array([1, 0, 0, 0.0])
+    y0 = np.array([0, 0, 0, 1.0])
+    sec = lambda t: w_project(BasePoint(EUCLIDEAN, x0, y0), np.ones(8))
+    with pytest.raises(ValidationError, match="h must be a number"):
+        covariant_constancy_residual(EUCLIDEAN, lambda t: (x0, y0), (sec, sec), "g", h=h)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_stabilizer_membership_rejects_non_finite_input(bad):
     M = np.eye(4)

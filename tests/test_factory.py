@@ -520,6 +520,15 @@ def test_from_theta_refuses_non_numbers(theta0, step, message):
         from_theta(theta0, zero, zero, x, x, step=step)
 
 
+@pytest.mark.parametrize("step", [1e-13, 1e-300])
+def test_from_theta_step_count_is_bounded(step):
+    # refused before either direction's Frenet steps are allocated
+    x = np.linspace(-0.2, 0.2, 9)
+    zero = lambda t: np.zeros_like(np.asarray(t, float))
+    with pytest.raises(ValidationError, match="more than 1048576 steps"):
+        from_theta(0.7, zero, zero, x, x, step=step)
+
+
 @pytest.mark.parametrize("bad", ["f", "g"])
 def test_from_theta_names_a_non_finite_potential(bad):
     x = np.linspace(-0.2, 0.2, 9)
@@ -662,7 +671,7 @@ def test_torus_ansatz_rejects_wrong_start():
     ({"n1": math.nan}, "n1 must be finite"),
     ({"n1": 2.5}, "n1 must be an integer"),
     ({"n2": 1}, "n2 must be at least 2"),
-    ({"n2": "x"}, "n2 must be a number"),
+    ({"n2": "x"}, "n2 must be an integer"),
 ])
 def test_torus_ansatz_refuses_bad_sample_counts(counts, message):
     # np.linspace raised a builtin TypeError on NaN and 2.5

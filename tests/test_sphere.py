@@ -272,6 +272,14 @@ def test_lift_validation():
         horizontal_lift(const, I3, "left", start)
 
 
+@pytest.mark.parametrize("step", [1e-13, 1e-300])
+def test_lift_step_count_is_bounded(step):
+    # refused before the step grid, of about 3e13 or 3e300 nodes, is allocated
+    curve = _great_circle_curve(n=2001)
+    with pytest.raises(ValidationError, match="more than 1048576 steps"):
+        horizontal_lift(curve, I3, "left", np.array([1.0, 0, 0, 0]), step=step)
+
+
 def test_lift_start_is_normalized_without_overflow():
     """A finite start of any size is read as its direction; a zero start is refused."""
     curve = _great_circle_curve(n=2001)
@@ -378,16 +386,27 @@ def test_non_finite_tolerances_are_refused(check, tol):
         check(tol)
 
 
-@pytest.mark.parametrize("call", [
-    lambda: reparametrize(_great_circle_curve(n=2001), n="x"),
-    lambda: reparametrize(_great_circle_curve(n=2001), n=[1.0]),
-    lambda: holonomy_area_check(latitude_circle(I3, 1.0, n=512), I3, "left", tol="x"),
-    lambda: holonomy_area_check(latitude_circle(I3, 1.0, n=512), I3, "left", tol=None),
+@pytest.mark.parametrize("call, message", [
+    (lambda: reparametrize(_great_circle_curve(n=2001), n="x"), "n must be an integer"),
+    (lambda: reparametrize(_great_circle_curve(n=2001), n=[1.0]), "n must be an integer"),
+    (lambda: holonomy_area_check(latitude_circle(I3, 1.0, n=512), I3, "left", tol="x"),
+     "tol must be a number"),
+    (lambda: holonomy_area_check(latitude_circle(I3, 1.0, n=512), I3, "left", tol=None),
+     "tol must be a number"),
+    (lambda: horizontal_lift(_great_circle_curve(n=2001), I3, "left", quat.ONE, step="x"),
+     "step must be a number"),
+    (lambda: horizontal_lift(_great_circle_curve(n=2001), I3, "left", quat.ONE, step=None),
+     "step must be a number"),
+    (lambda: latitude_circle(I3, "x"), "colatitude must be a number"),
+    (lambda: latitude_circle(I3, 1.0, turns="x"), "turns must be an integer"),
+    (lambda: holonomy(_great_circle_lift(), "x"), "period must be a number"),
 ], ids=["reparametrize-str", "reparametrize-list", "holonomy_area_check-str",
-        "holonomy_area_check-none"])
-def test_non_numbers_are_refused(call):
-    # float() raised a builtin ValueError or TypeError here
-    with pytest.raises(ValidationError, match="must be a number"):
+        "holonomy_area_check-none", "lift-step-str", "lift-step-none", "latitude-colatitude-str",
+        "latitude-turns-str", "holonomy-period-str"])
+def test_non_numbers_are_refused(call, message):
+    # float() raised a builtin ValueError or TypeError here, and the lift's step
+    # test, latitude_circle and holonomy a TypeError from a comparison or np.linspace
+    with pytest.raises(ValidationError, match=message):
         call()
 
 
