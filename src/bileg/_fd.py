@@ -27,16 +27,22 @@ MAX_COUNT = 1 << 20
 _REALS = (int, float, np.integer, np.floating)
 
 
+def number(value, name):
+    """float(value) for an int or float scalar, Python's or numpy's, NaN and
+    infinities included; ValidationError for anything else."""
+    if isinstance(value, bool) or not isinstance(value, _REALS):
+        raise ValidationError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an int beyond the float range
+        return math.inf if value > 0 else -math.inf
+
+
 def finite(value, name, low=None, high=math.inf):
     """float(value) for a finite int or float scalar, Python's or numpy's, in
     (low, high] when low is given; ValidationError for anything else."""
     if type(value) is not float:
-        if isinstance(value, bool) or not isinstance(value, _REALS):
-            raise ValidationError(f"{name} must be a number, got {value!r}")
-        try:
-            value = float(value)
-        except OverflowError:  # an int beyond the float range
-            value = math.inf
+        value = number(value, name)
     if low is None:
         if not math.isfinite(value):
             raise ValidationError(f"{name} must be finite, got {value!r}")
@@ -95,18 +101,31 @@ def uniform_step(x, name):
 
 
 def d_uniform(F, h, axis):
-    """4th-order first derivative along the given axis of a uniform grid."""
-    F = np.moveaxis(np.asarray(F, dtype=float), axis, 0)
-    n = F.shape[0]
-    if n < 5:
+    """4th-order first derivative along the given axis of a uniform grid.
+
+    The interior stencil (F[i-2] - 8 F[i-1] + 8 F[i+1] - F[i+2]) / (12 h) is
+    summed left to right by in-place ufuncs with one scratch array; the
+    result is a new array laid out as F."""
+    F = np.asarray(F, dtype=float)
+    if F.shape[axis] < 5:
         raise ValidationError("need at least 5 samples along each axis for derivatives")
     out = np.empty_like(F)
-    out[2:-2] = (F[:-4] - 8.0 * F[1:-3] + 8.0 * F[3:-1] - F[4:]) / (12.0 * h)
-    out[0] = (-25.0 * F[0] + 48.0 * F[1] - 36.0 * F[2] + 16.0 * F[3] - 3.0 * F[4]) / (12.0 * h)
-    out[1] = (-3.0 * F[0] - 10.0 * F[1] + 18.0 * F[2] - 6.0 * F[3] + F[4]) / (12.0 * h)
-    out[-1] = (25.0 * F[-1] - 48.0 * F[-2] + 36.0 * F[-3] - 16.0 * F[-4] + 3.0 * F[-5]) / (12.0 * h)
-    out[-2] = (3.0 * F[-1] + 10.0 * F[-2] - 18.0 * F[-3] + 6.0 * F[-4] - F[-5]) / (12.0 * h)
-    return np.moveaxis(out, 0, axis)
+    F, d = np.moveaxis(F, axis, 0), np.moveaxis(out, axis, 0)
+    # along axis 0 the interior is one contiguous run of out and is summed in
+    # place; along another axis in-place ufuncs on its strided interior ran
+    # slower than on a scratch laid out as F, copied in once
+    inner = d[2:-2] if axis == 0 else np.empty_like(d[2:-2])
+    np.subtract(F[:-4], np.multiply(8.0, F[1:-3], out=inner), out=inner)
+    inner += np.multiply(8.0, F[3:-1])
+    inner -= F[4:]
+    inner /= 12.0 * h
+    if axis != 0:
+        d[2:-2] = inner
+    d[0] = (-25.0 * F[0] + 48.0 * F[1] - 36.0 * F[2] + 16.0 * F[3] - 3.0 * F[4]) / (12.0 * h)
+    d[1] = (-3.0 * F[0] - 10.0 * F[1] + 18.0 * F[2] - 6.0 * F[3] + F[4]) / (12.0 * h)
+    d[-1] = (25.0 * F[-1] - 48.0 * F[-2] + 36.0 * F[-3] - 16.0 * F[-4] + 3.0 * F[-5]) / (12.0 * h)
+    d[-2] = (3.0 * F[-1] + 10.0 * F[-2] - 18.0 * F[-3] + 6.0 * F[-4] - F[-5]) / (12.0 * h)
+    return out
 
 
 def stencil_rows(rows, n):
@@ -168,7 +187,9 @@ def cross4(a, b, c):
     for every d, i.e. w_l = eps_ijkl a_i b_j c_k; orthogonal to a, b and c."""
     m01, m02, m03, m12, m13, m23 = _minors(a, b)
     c0, c1, c2, c3 = _components(c)
-    return np.stack([m13 * c2 - m12 * c3 - m23 * c1,
-                     m02 * c3 - m03 * c2 + m23 * c0,
-                     m03 * c1 - m01 * c3 - m13 * c0,
-                     m01 * c2 - m02 * c1 + m12 * c0], axis=-1)
+    out = np.empty(np.broadcast_shapes(np.shape(m01), np.shape(c0)) + (4,))
+    out[..., 0] = m13 * c2 - m12 * c3 - m23 * c1
+    out[..., 1] = m02 * c3 - m03 * c2 + m23 * c0
+    out[..., 2] = m03 * c1 - m01 * c3 - m13 * c0
+    out[..., 3] = m01 * c2 - m02 * c1 + m12 * c0
+    return out

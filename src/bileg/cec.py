@@ -543,12 +543,14 @@ def hyperbolic_cylinder_patch(r, resolution, t_range=(-1.0, 1.0),
 
     e(t, phi) = cosh(r) gamma(t) + sinh(r) (cos phi, sin phi, 0, 0) with
     gamma(t) = (0, 0, sinh t, cosh t); principal curvatures tanh r and
-    coth r, so the extrinsic curvature is 1 for every r > 0.
+    coth r, so the extrinsic curvature is 1 for every r > 0.  r is capped
+    at 8: b(nu, nu) = 1 and b(e, e) = -1 are differences of terms of size
+    cosh(r)^2, whose cancellation loses more than the patch's 1e-8 check
+    allows from about r = 9 on.
     """
     r = finite(r, "r", 0)
-    # past r = 355 cosh(r)^2 overflows; b(nu, nu) loses 1e-8 already near r = 10
-    if r > 20.0:
-        raise ValidationError(f"r must be at most 20, got {r}")
+    if r > 8.0:
+        raise ValidationError(f"r must be at most 8, got {r}")
     n = count(resolution, "resolution", 8, math.isqrt(MAX_COUNT))
     t = np.linspace(t_range[0], t_range[1], n)
     phi = np.linspace(phi_range[0], phi_range[1], n)

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._fd import finite as _finite
+from ._fd import number as _number
 from .errors import PreconditionError, ValidationError
 
 _TOL = 1e-9
@@ -156,12 +157,19 @@ class CliffordElement:
 
 
 def element(sig, a, b, c, d):
-    return CliffordElement(float(a), float(b), float(c), float(d), sig)
+    """a + b i + c j + d k; each coefficient an int or float scalar, NaN included
+    (element data, which the validators that take an element check)."""
+    return CliffordElement(_number(a, "coefficient a"), _number(b, "coefficient b"),
+                           _number(c, "coefficient c"), _number(d, "coefficient d"), sig)
 
 
 def from_coeffs(sig, coeffs):
-    a, b, c, d = (float(t) for t in coeffs)
-    return CliffordElement(a, b, c, d, sig)
+    """The element with coefficients (a, b, c, d) = coeffs, as `element` takes them."""
+    try:
+        a, b, c, d = coeffs
+    except (TypeError, ValueError):
+        raise ValidationError(f"coeffs must be four numbers, got {coeffs!r}") from None
+    return element(sig, a, b, c, d)
 
 
 def basis(sig):

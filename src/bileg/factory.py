@@ -285,9 +285,9 @@ def _axis_tangent(grid, index, i0, j0):
     if f is not None and f.dgamma1 is not None and f.dgamma2 is not None:
         if index == 1:
             G2 = _eval_curve(f.gamma2, grid.x2)
-            return _product(G2[j0:j0 + 1], f.a, f.velocity1(grid.x1))[:, 0]
+            return quat.mul(G2[j0], quat.mul(f.a, f.velocity1(grid.x1)))
         G1 = _eval_curve(f.gamma1, grid.x1)
-        return _product(f.velocity2(grid.x2), f.a, G1[i0:i0 + 1])[0]
+        return quat.mul(f.velocity2(grid.x2), quat.mul(f.a, G1[i0]))
     h1 = _uniform_step(grid.x1, "x1")
     h2 = _uniform_step(grid.x2, "x2")
     if index == 1:
@@ -339,8 +339,8 @@ def construct(a, b, gamma1, gamma2, x1, x2, dgamma1=None, dgamma2=None,
     G2 = _eval_curve(factors.gamma2, x2)
     X = _product(G2, factors.a, G1)
     Y = _product(G2, factors.b, G1)
-    X = X / quat.norm(X)[..., None]
-    Y = Y / quat.norm(Y)[..., None]
+    X /= quat.norm(X)[..., None]
+    Y /= quat.norm(Y)[..., None]
     return ImmersionGrid(x1, x2, X, Y, factors=factors)
 
 
@@ -349,9 +349,10 @@ def _split(origin, *grids):
 
     c_k = grid_k(0, 0); A = conj(c_0) . M(., 0) and B = M(0, .) . conj(c_0) come
     from the first grid M and are exact on the axes.  Returns ([c_k], A, B, r)
-    with r the worst |grid_k - B . c_k . A| over all grids."""
+    with r the worst |grid_k - B . c_k . A| over all grids.  Each c_k is a
+    copy, so a record that keeps it does not keep its grid."""
     i0, j0 = origin
-    consts = [g[i0, j0] for g in grids]
+    consts = [g[i0, j0].copy() for g in grids]
     A = quat.mul(quat.conj(consts[0]), grids[0][:, j0])
     B = quat.mul(grids[0][i0, :], quat.conj(consts[0]))
     residual = functools.reduce(np.maximum, (
@@ -632,7 +633,7 @@ def angle_function(grid):
         theta0=2.0 * theta00,
         theta1=theta1,
         theta2=theta2,
-        dtheta1=d1theta[:, j0],
+        dtheta1=d1theta[:, j0].copy(),
         dtheta2=_d_uniform(theta[i0], h2, 0),
         wave_residual=wave,
         split_residual=split,
@@ -680,14 +681,14 @@ def asymptotic_frame(grid, index, angle=None, tol=1e-6):
     T = _axis_tangent(grid, index, i0, j0)
     if index == 1:
         t = grid.x1
-        gam = grid.X[:, j0]
-        B = grid.Y[:, j0]
+        gam = grid.X[:, j0].copy()
+        B = grid.Y[:, j0].copy()
         eps = EPS1
         dtheta = angle.dtheta1
     else:
         t = grid.x2
-        gam = grid.X[i0, :]
-        B = grid.Y[i0, :]
+        gam = grid.X[i0].copy()
+        B = grid.Y[i0].copy()
         eps = EPS2
         dtheta = angle.dtheta2
     N = quat.quarter_turn(gam, B, T)
@@ -1086,8 +1087,9 @@ def gauss_map(factors, x1=None, x2=None, samples=257):
         x2 = _axis_array(x2, "x2")
     G1 = _eval_curve(factors.gamma1, x1)
     G2 = _eval_curve(factors.gamma2, x2)
-    from_gamma1 = sphere.hopf(i_axis, "left", quat.mul(quat.conj(G1), n_q))
-    from_gamma2 = sphere.hopf(i_axis, "left", quat.mul(G2, m_q))
+    # hopf returns views of (N, 4) arrays; the record keeps copies of the 3-vectors only
+    from_gamma1 = sphere.hopf(i_axis, "left", quat.mul(quat.conj(G1), n_q)).copy()
+    from_gamma2 = sphere.hopf(i_axis, "left", quat.mul(G2, m_q)).copy()
     return GaussMapData(
         m=m_q, n=n_q, x1=x1, x2=x2,
         from_gamma1=from_gamma1, from_gamma2=from_gamma2,

@@ -16,20 +16,31 @@ QK = np.array([0.0, 0.0, 0.0, 1.0])
 
 
 def mul(p, q):
-    """Quaternion product p*q, broadcasting over leading axes."""
+    """Quaternion product p*q, broadcasting over leading axes.
+
+    Each component is summed left to right, as w = pw qw - px qx - py qy - pz qz
+    reads, in a contiguous scratch array and then copied into the output:
+    two scratch arrays in place of a temporary per product and term.
+    """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     pw, px, py, pz = p[..., 0], p[..., 1], p[..., 2], p[..., 3]
     qw, qx, qy, qz = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
-    return np.stack(
-        [
-            pw * qw - px * qx - py * qy - pz * qz,
-            pw * qx + px * qw + py * qz - pz * qy,
-            pw * qy + py * qw + pz * qx - px * qz,
-            pw * qz + pz * qw + px * qy - py * qx,
-        ],
-        axis=-1,
-    )
+    out = np.empty(np.broadcast_shapes(p.shape, q.shape))
+    acc, term = np.empty(out.shape[:-1]), np.empty(out.shape[:-1])
+    out[..., 0] = _terms(acc, term, np.subtract, pw, qw, px, qx, py, qy, pz, qz)
+    out[..., 1] = _terms(acc, term, np.add, pw, qx, px, qw, py, qz, pz, qy)
+    out[..., 2] = _terms(acc, term, np.add, pw, qy, py, qw, pz, qx, px, qz)
+    out[..., 3] = _terms(acc, term, np.add, pw, qz, pz, qw, px, qy, py, qx)
+    return out
+
+
+def _terms(acc, term, op, a0, b0, a1, b1, a2, b2, a3, b3):
+    """((a0 b0 op a1 b1) op a2 b2) - a3 b3, formed in acc with term as scratch."""
+    np.multiply(a0, b0, out=acc)
+    op(acc, np.multiply(a1, b1, out=term), out=acc)
+    op(acc, np.multiply(a2, b2, out=term), out=acc)
+    return np.subtract(acc, np.multiply(a3, b3, out=term), out=acc)
 
 
 def conj(q):

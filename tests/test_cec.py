@@ -411,6 +411,18 @@ class TestPatchGenerators:
         with pytest.raises(ValidationError, match="positive"):
             cec.hyperbolic_cylinder_patch(0.0, 33)
 
+    @pytest.mark.parametrize("resolution", [8, 1024])
+    def test_cylinder_builds_up_to_its_radius_cap(self, resolution):
+        # at r = 10, which the old cap of 20 admitted, SurfacePatch refused the
+        # normal: b(nu, nu) cancels terms of size cosh(r)^2
+        patch = cec.hyperbolic_cylinder_patch(8.0, resolution)
+        assert patch.e.shape == (resolution, resolution, 4)
+
+    @pytest.mark.parametrize("r", [8.5, 10.0])
+    def test_cylinder_refuses_radii_past_its_cap(self, r):
+        with pytest.raises(ValidationError, match="r must be at most 8"):
+            cec.hyperbolic_cylinder_patch(r, 16)
+
     def test_cylinder_sits_on_hyperboloid(self):
         patch = cec.hyperbolic_cylinder_patch(0.7, 33)
         b = np.einsum("...a,...a->...", patch.e * cec.H3_SIGMA, patch.e)

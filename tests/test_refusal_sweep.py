@@ -16,7 +16,7 @@ import pytest
 
 import bileg
 from bileg import quat
-from bileg.errors import BilegError
+from bileg.errors import BilegError, ValidationError
 
 BAD = [math.nan, math.inf, -math.inf, "x", None, [1.0], True, 2.5, 0, -1, 1e308]
 
@@ -223,3 +223,29 @@ def test_bad_scalar_returns_or_raises_a_bileg_error(name, argument):
             pass
         except Exception as exc:
             pytest.fail(f"{name}({argument}={value!r}) raised {type(exc).__name__}: {exc}")
+
+
+@pytest.mark.parametrize("bad", ["x", None, [1.0], True])
+def test_coefficients_refuse_non_numbers(bad):
+    # float() raised a builtin ValueError or TypeError on these
+    sig = bileg.Signature2(1, -1)
+    with pytest.raises(ValidationError, match=r"coefficient c must be a number"):
+        bileg.element(sig, 0.0, 1.0, bad, 0.0)
+    with pytest.raises(ValidationError, match=r"coefficient c must be a number"):
+        bileg.from_coeffs(sig, [0.0, 1.0, bad, 0.0])
+
+
+@pytest.mark.parametrize("coeffs", [[1.0, 0.0, 0.0], None, 1.0])
+def test_from_coeffs_needs_four_coefficients(coeffs):
+    with pytest.raises(ValidationError, match="coeffs must be four numbers"):
+        bileg.from_coeffs(bileg.Signature2(1, -1), coeffs)
+
+
+def test_coefficients_take_nan_and_numpy_scalars():
+    # element data: a NaN element is built, and the validators that take one refuse it
+    sig = bileg.Signature2(1, -1)
+    x = bileg.element(sig, math.nan, np.float64(1.0), np.int64(2), 3)
+    assert math.isnan(x.a) and (x.b, x.c, x.d) == (1.0, 2.0, 3.0)
+    assert all(type(t) is float for t in (x.a, x.b, x.c, x.d))
+    y = bileg.from_coeffs(sig, np.array([math.nan, 1.0, 2.0, 3.0]))
+    assert math.isnan(y.a) and (y.b, y.c, y.d) == (1.0, 2.0, 3.0)

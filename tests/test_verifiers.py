@@ -494,6 +494,20 @@ def test_angle_function_holds_under_three_grids(large_grids, kind):
     assert grids <= 3.0, f"angle_function held {grids:.2f} quaternion grids of temporaries"
 
 
+def test_lie_factors_keep_no_grid(large_grids):
+    # C was a view of the normalized copy of M, so the record kept that whole grid
+    grid = large_grids["finite_difference"]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        lie = factory.lie_factorize(grid.x1, grid.x2, grid.X)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert lie.C.shape == (4,)
+    assert kept < 0.1 * grid.X.nbytes, f"LieFactors kept {kept / grid.X.nbytes:.2f} grids"
+
+
 def test_frame_determinant_closed_form():
     rng = np.random.default_rng(3)
     cols = [rng.standard_normal((5, 7, 4)) for _ in range(4)]
@@ -536,6 +550,83 @@ def test_quarter_turn_agrees_with_the_old_rotate_A():
         old = -quat.mul(quat.mul(z, quat.conj(x)), y)
         worst = max(worst, float(np.abs(quat.quarter_turn(x, y, z) - old).max()))
     assert worst <= 1e-14, worst
+
+
+def _stack_mul(p, q):
+    """quat.mul as it was: sixteen product temporaries and np.stack."""
+    p, q = np.asarray(p, float), np.asarray(q, float)
+    pw, px, py, pz = p[..., 0], p[..., 1], p[..., 2], p[..., 3]
+    qw, qx, qy, qz = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
+    return np.stack([pw * qw - px * qx - py * qy - pz * qz,
+                     pw * qx + px * qw + py * qz - pz * qy,
+                     pw * qy + py * qw + pz * qx - px * qz,
+                     pw * qz + pz * qw + px * qy - py * qx], axis=-1)
+
+
+def _stack_cross4(a, b, c):
+    """_fd.cross4 as it was, with np.stack, on stacks of 4-vectors."""
+    a, b, c = (np.moveaxis(v, -1, 0) for v in (a, b, c))
+    m01, m02, m03, m12, m13, m23 = (a[i] * b[j] - a[j] * b[i]
+                                    for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
+    c0, c1, c2, c3 = c
+    return np.stack([m13 * c2 - m12 * c3 - m23 * c1,
+                     m02 * c3 - m03 * c2 + m23 * c0,
+                     m03 * c1 - m01 * c3 - m13 * c0,
+                     m01 * c2 - m02 * c1 + m12 * c0], axis=-1)
+
+
+def _expression_d_uniform(F, h, axis):
+    """_fd.d_uniform as it was, with the interior stencil as one expression."""
+    F = np.moveaxis(np.asarray(F, dtype=float), axis, 0)
+    out = np.empty_like(F)
+    out[2:-2] = (F[:-4] - 8.0 * F[1:-3] + 8.0 * F[3:-1] - F[4:]) / (12.0 * h)
+    out[0] = (-25.0 * F[0] + 48.0 * F[1] - 36.0 * F[2] + 16.0 * F[3] - 3.0 * F[4]) / (12.0 * h)
+    out[1] = (-3.0 * F[0] - 10.0 * F[1] + 18.0 * F[2] - 6.0 * F[3] + F[4]) / (12.0 * h)
+    out[-1] = (25.0 * F[-1] - 48.0 * F[-2] + 36.0 * F[-3] - 16.0 * F[-4] + 3.0 * F[-5]) / (12.0 * h)
+    out[-2] = (3.0 * F[-1] + 10.0 * F[-2] - 18.0 * F[-3] + 6.0 * F[-4] - F[-5]) / (12.0 * h)
+    return np.moveaxis(out, 0, axis)
+
+
+def _bits_equal(new, ref):
+    assert new.shape == ref.shape and new.tobytes() == ref.tobytes()
+
+
+def _spread(rng, shape):
+    """Normal samples over twelve decades, with some exact zeros of either sign."""
+    v = rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 7, shape)
+    v.flat[::7] = 0.0
+    v.flat[::11] = -0.0
+    return v
+
+
+def test_mul_is_bit_identical_to_the_stacked_product():
+    rng = np.random.default_rng(13)
+    grid = _spread(rng, (33, 17, 4))
+    cases = [
+        (_spread(rng, (4,)), _spread(rng, (4,))),
+        (_spread(rng, (4,)), _spread(rng, (65, 4))),
+        (_spread(rng, (65, 4)), _spread(rng, (4,))),
+        (_spread(rng, (33, 1, 4)), _spread(rng, (1, 17, 4))),
+        (grid[:, 5], _spread(rng, (33, 4))),   # a strided column view
+        (grid, grid[::-1, ::2].repeat(2, axis=1)[:, :17]),
+    ]
+    for p, q in cases:
+        out = quat.mul(p, q)
+        _bits_equal(out, _stack_mul(p, q))
+        assert not np.shares_memory(out, p) and not np.shares_memory(out, q)
+        assert out.base is None
+
+
+def test_cross4_and_d_uniform_are_bit_identical_to_their_expressions():
+    rng = np.random.default_rng(17)
+    a, b, c = (_spread(rng, (9, 11, 4)) for _ in range(3))
+    _bits_equal(cross4(a, b, c), _stack_cross4(a, b, c))
+    _bits_equal(cross4(a[:, 3], b[:, 7], c[4, 0]), _stack_cross4(a[:, 3], b[:, 7], c[4, 0]))
+    F = _spread(rng, (9, 11, 4))
+    for G, axis in [(F, 0), (F, 1), (F[:, 4], 0), (F[2, :, 1], 0), (F[:, ::2], 1)]:
+        out = d_uniform(G, 0.037, axis)
+        _bits_equal(out, _expression_d_uniform(G, 0.037, axis))
+        assert out.base is None
 
 
 def _patches():
