@@ -554,9 +554,12 @@ def hyperbolic_cylinder_patch(r, resolution, t_range=(-1.0, 1.0),
     n = count(resolution, "resolution", 8, math.isqrt(MAX_COUNT))
     t = np.linspace(t_range[0], t_range[1], n)
     phi = np.linspace(phi_range[0], phi_range[1], n)
-    tt, pp = np.meshgrid(t, phi, indexing="ij")
-    gam = np.stack([np.zeros_like(tt), np.zeros_like(tt), np.sinh(tt), np.cosh(tt)], axis=-1)
-    rad = np.stack([np.cos(pp), np.sin(pp), np.zeros_like(pp), np.zeros_like(pp)], axis=-1)
-    e = math.cosh(r) * gam + math.sinh(r) * rad
-    nu = math.sinh(r) * gam + math.cosh(r) * rad
+    # each plane broadcasts a scaled 1-d axis, so no whole-grid temporary is made
+    ch, sh = math.cosh(r), math.sinh(r)
+    e, nu = np.empty((n, n, 4)), np.empty((n, n, 4))
+    for grid, s_gam, s_rad in ((e, ch, sh), (nu, sh, ch)):
+        grid[..., 0] = s_rad * np.cos(phi)
+        grid[..., 1] = s_rad * np.sin(phi)
+        grid[..., 2] = s_gam * np.sinh(t)[:, None]
+        grid[..., 3] = s_gam * np.cosh(t)[:, None]
     return SurfacePatch(ambient="hyperboloid", x1=t, x2=phi, e=e, nu=nu)

@@ -109,7 +109,11 @@ def _eval_curve(fn, ts):
     return out
 
 
-def _fd_curve(fn, ts, delta=1e-5):
+def _velocity(fn, dfn, ts, delta=1e-5):
+    """Velocities of fn at ts: dfn's values, or central differences without it."""
+    ts = np.asarray(ts, dtype=float)
+    if dfn is not None:
+        return _eval_curve(dfn, ts)
     return (_eval_curve(fn, ts + delta) - _eval_curve(fn, ts - delta)) / (2.0 * delta)
 
 
@@ -150,14 +154,10 @@ class Factorization:
         return quat.mul(self.b, quat.conj(self.a))
 
     def velocity1(self, ts):
-        if self.dgamma1 is not None:
-            return _eval_curve(self.dgamma1, np.asarray(ts, dtype=float))
-        return _fd_curve(self.gamma1, np.asarray(ts, dtype=float))
+        return _velocity(self.gamma1, self.dgamma1, ts)
 
     def velocity2(self, ts):
-        if self.dgamma2 is not None:
-            return _eval_curve(self.dgamma2, np.asarray(ts, dtype=float))
-        return _fd_curve(self.gamma2, np.asarray(ts, dtype=float))
+        return _velocity(self.gamma2, self.dgamma2, ts)
 
 
 @dataclass
@@ -268,10 +268,15 @@ class _RowDerivatives:
         return first, seconds, criterion
 
 
+def _carries_velocities(f):
+    """Whether the factors f are given and carry both their velocities."""
+    return f is not None and f.dgamma1 is not None and f.dgamma2 is not None
+
+
 def _derivatives(grid):
     """Row derivatives of (X, Y): analytic when the factors carry velocities."""
     f = grid.factors
-    if f is not None and f.dgamma1 is not None and f.dgamma2 is not None:
+    if _carries_velocities(f):
         curves = (_eval_curve(f.gamma1, grid.x1), f.velocity1(grid.x1),
                   _eval_curve(f.gamma2, grid.x2), f.velocity2(grid.x2))
         return _RowDerivatives(grid.x1, grid.x2, (grid.X, grid.Y), curves, (f.a, f.b))
@@ -282,7 +287,7 @@ def _axis_tangent(grid, index, i0, j0):
     """d1X on the column j0 (index 1) or d2X on the row i0 (index 2), the same
     values the verifiers' first partials take there, from that line alone."""
     f = grid.factors
-    if f is not None and f.dgamma1 is not None and f.dgamma2 is not None:
+    if _carries_velocities(f):
         if index == 1:
             G2 = _eval_curve(f.gamma2, grid.x2)
             return quat.mul(G2[j0], quat.mul(f.a, f.velocity1(grid.x1)))
@@ -907,8 +912,10 @@ def torus_ansatz(a, b, c1, c2, n1=65, n2=65, step=1e-3):
     and c2(0) = vec(a.conj(b)) = -vec(b.conj(a)).  c1 is lifted on the right
     about conj(a).b and c2 on the left about -b.conj(a), whose horizontal
     distribution is the one `construct` checks for the second factor.  Their
-    horizontal lifts through the identity are the factor curves; the periods
-    are the curve lengths, and the lattice is read from the factors as
+    horizontal lifts through the identity, as the cubic Hermite splines
+    through each lift's samples and velocities, are the factor curves, with
+    the splines' derivatives as their velocities; the periods are the curve
+    lengths, and the lattice is read from the factors as
     `period_lattice` reads it.  Returns the grid over one fundamental
     rectangle together with the PeriodLattice, or a NoLattice report when
     the rotation numbers fail to snap to rationals or the divisibility rule.
@@ -929,7 +936,7 @@ def torus_ansatz(a, b, c1, c2, n1=65, n2=65, step=1e-3):
                 f"{name}(0) must be the conjugated axis, offset {gap:.3e}"
             )
         lift = sphere.horizontal_lift(curve, quat.to_vec3(xi), side, quat.ONE, step=step)
-        splines.append(_spline.cubic(lift.params, lift.samples))
+        splines.append(_spline.hermite(lift.params, lift.samples, lift.velocities))
     spl1, spl2 = splines
     p1, p2 = float(spl1.x[-1]), float(spl2.x[-1])
     grid = construct(
@@ -951,14 +958,13 @@ def _detect_period(curve_fn, lo, hi, tol=1e-6):
             "pass the period explicitly"
         )
     span = hi - lo
-    best = span
-    for k in range(2, 9):
-        p = span / k
-        probe = np.linspace(lo, hi - p, 257)
-        gap = np.linalg.norm(curve_fn(probe + p) - curve_fn(probe), axis=-1).max()
-        if gap < max(tol, 1e-6):
-            best = min(best, p)
-    return best
+    # every candidate span / k, k = 2 .. 8, on 257 probes, in one evaluation
+    periods = span / np.arange(2, 9)
+    probes = np.linspace(lo, hi - periods, 257, axis=-1)
+    C = curve_fn(np.concatenate([probes.ravel(), (probes + periods[:, None]).ravel()]))
+    C = C.reshape((2,) + probes.shape + (-1,))
+    gaps = np.linalg.norm(C[1] - C[0], axis=-1).max(axis=1)
+    return float(min(periods[gaps < max(tol, 1e-6)], default=span))
 
 
 def _lattice(factors, p1, p2, tol):
@@ -972,18 +978,13 @@ def _lattice(factors, p1, p2, tol):
     ), start=1):
         w = _norm_and_unit(quat.to_vec3(axis))[1]
         lo, hi = rng or (0.0, _TWO_PI)
+        curve = functools.partial(_eval_curve, gamma)
         if p is None:
-            p = _detect_period(lambda t: sphere.hopf(w, side, _eval_curve(gamma, t)), lo, hi, tol)
+            p = _detect_period(lambda t: sphere.hopf(w, side, curve(t)), lo, hi, tol)
         p = _finite(p, f"p{k}", 0)
-        E = quat.normalize(_eval_curve(gamma, np.array([p]))[0])
-        # quasiperiodic displacement check inside the trusted domain
-        if hi - lo > p + 1e-9:
-            ts = np.linspace(lo, hi - p, 9)
-            G = _eval_curve(gamma, ts)
-            pred = quat.mul(E, G) if side == "right" else quat.mul(G, E)
-            gap = np.linalg.norm(_eval_curve(gamma, ts + p) - pred, axis=-1)
-            worst = max(worst, float(gap.max()))
-        reads.append((p, w, *sphere.fiber_angle(E, w)))
+        _, psi, off, displacement = sphere._quasiperiod(curve, side, w, lo, hi, p)
+        worst = max(worst, displacement)
+        reads.append((p, w, psi, off))
     (p1, w1, psi1, off1), (p2, w2, psi2, off2) = reads
     if off1 > 10.0 * tol or off2 > 10.0 * tol:
         raise NoMaximalLattice(

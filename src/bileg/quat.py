@@ -9,6 +9,8 @@ convert between the (...,4) and (...,3) pictures.
 
 import numpy as np
 
+from ._fd import _components
+
 ONE = np.array([1.0, 0.0, 0.0, 0.0])
 QI = np.array([0.0, 1.0, 0.0, 0.0])
 QJ = np.array([0.0, 0.0, 1.0, 0.0])
@@ -20,12 +22,18 @@ def mul(p, q):
 
     Each component is summed left to right, as w = pw qw - px qx - py qy - pz qz
     reads, in a contiguous scratch array and then copied into the output:
-    two scratch arrays in place of a temporary per product and term.
+    two scratch arrays in place of a temporary per product and term.  Two
+    single quaternions are multiplied on Python floats, in the same order.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    pw, px, py, pz = p[..., 0], p[..., 1], p[..., 2], p[..., 3]
-    qw, qx, qy, qz = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
+    pw, px, py, pz = _components(p)
+    qw, qx, qy, qz = _components(q)
+    if p.ndim == q.ndim == 1:
+        return np.array([pw * qw - px * qx - py * qy - pz * qz,
+                         pw * qx + px * qw + py * qz - pz * qy,
+                         pw * qy + py * qw + pz * qx - px * qz,
+                         pw * qz + pz * qw + px * qy - py * qx])
     out = np.empty(np.broadcast_shapes(p.shape, q.shape))
     acc, term = np.empty(out.shape[:-1]), np.empty(out.shape[:-1])
     out[..., 0] = _terms(acc, term, np.subtract, pw, qw, px, qx, py, qy, pz, qz)

@@ -7,10 +7,12 @@ Hopf projections about an axis xi send g to ad(g) xi (left) or ad(g^-1) xi
 the linear ODE g' = W g (left) or g' = g V (right) with W = -V = c x c'/2,
 so `horizontal_lift` builds each classical RK4 step as one unit quaternion,
 all steps at once, and chains them with a log-depth prefix product.
-`signed_area`, `holonomy` and the Gauss-Bonnet residual close the loop: the
-rotation number of a lift over one base period is read off the fiber
-circle, and matches minus (left) or plus (right) the enclosed area over
-4 pi.
+Between its nodes a lift is the cubic Hermite spline through its samples
+and their exact velocities W g or g V (de Boor, "A Practical Guide to
+Splines", ch. IV).  `signed_area`, `holonomy` and the Gauss-Bonnet residual
+close the loop: the rotation number of a lift over one base period is read
+off the fiber circle (`_quasiperiod`, which `factory` reads lattices with),
+and matches minus (left) or plus (right) the enclosed area over 4 pi.
 
 Every curve is read through its cubic spline (`_spline`: knot slopes by
 cyclic reduction, Hockney 1965).  `reparametrize` and `gauss_bonnet_check`
@@ -26,7 +28,7 @@ in the definite signature.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from . import _spline, quat
@@ -294,6 +296,7 @@ def reparametrize(curve, n=None):
 class HorizontalCurve:
     """Horizontal lift samples in S^3 on a uniform parameter grid.
 
+    velocities holds W g (left) or g V (right) at each sample.
     horizontality_residual and speed_residual are worst-case values of
     |b(velocity, fiber direction)| and ||velocity| - 1| along the lift;
     tracking_residual is the worst distance between the projected lift and
@@ -302,62 +305,41 @@ class HorizontalCurve:
 
     params: np.ndarray
     samples: np.ndarray
+    velocities: np.ndarray
     side: str
     axis: np.ndarray
     step: float
     horizontality_residual: float
     speed_residual: float
     tracking_residual: float
-    _spline: object = field(repr=False, default=None)
 
     def at(self, t):
-        """Lift point at parameter t, one partial integration step off the grid."""
+        """Lift point at parameter t, from the Hermite piece that holds t."""
         t0, t1 = self.params[0], self.params[-1]
         t = _finite(t, "t")
         if t < t0 - 1e-9 or t > t1 + 1e-9:
             raise ValidationError(f"parameter {t} outside the lifted range [{t0}, {t1}]")
-        t = min(max(t, t0), t1)
-        idx = min(int((t - t0) / self.step), len(self.params) - 1)
-        dt = t - self.params[idx]
-        if abs(dt) < 1e-13:
-            return self.samples[idx].copy()
-        nodes = np.array([self.params[idx], self.params[idx] + 0.5 * dt, t])
-        w0, w_mid, w1 = _lift_generator(self._spline(nodes), self._spline(nodes, 1), self.side)
-        step = _rk4_propagators(w0, w_mid, w1, dt, self.side)
-        return _apply(step, self.samples[idx], self.side)
+        return self._points(np.array([t]))[0]
 
-
-def _lift_generator(c, cdot, side):
-    """W = c x c'/2 (left) or V = -c x c'/2 (right) from the spline values c
-    (renormalized here) and velocities cdot.
-
-    Over the curve c the left lift solves g' = W g and the right lift
-    g' = g V; both are linear in g.
-    """
-    w = 0.5 * np.cross(c / np.linalg.norm(c, axis=-1)[..., None], cdot)
-    return quat.from_vec3(w if side == "left" else -w)
+    def _points(self, ts):
+        """The lift at the parameters ts (1-d, clipped to the range) from the
+        Hermite pieces that hold them, or the sample within 1e-13 of a node."""
+        x = self.params
+        ts = np.clip(ts, x[0], x[-1])
+        i = np.clip(np.searchsorted(x, ts, side="right") - 1, 0, len(x) - 2)
+        node = np.where(ts - x[i] < x[i + 1] - ts, i, i + 1)
+        out = self.samples[node]
+        off = np.abs(ts - x[node]) >= 1e-13
+        if off.any():
+            # the two nodes of each piece give that piece of the whole lift's spline
+            k = np.union1d(i[off], i[off] + 1)
+            out[off] = _spline.hermite(x[k], self.samples[k], self.velocities[k])(ts[off])
+        return out
 
 
 def _apply(p, g, side):
     """Act with p on g from the side the lift ODE multiplies on."""
     return quat.mul(p, g) if side == "left" else quat.mul(g, p)
-
-
-def _rk4_propagators(w0, w_mid, w1, h, side):
-    """Unit quaternions P advancing the linear lift ODE by one classical RK4 step.
-
-    w0, w_mid and w1 are the generators at the start, middle and end of each
-    step.  For g' = W g the stage slopes are a_k g with a1 = W0,
-    a2 = Wm (1 + h/2 a1), a3 = Wm (1 + h/2 a2), a4 = W1 (1 + h a3), so the
-    step is g -> P g with P = 1 + h/6 (a1 + 2 a2 + 2 a3 + a4); the right lift
-    mirrors every product.  |P g| = |P| |g|, so normalizing P is the same
-    as renormalizing the stepped state.
-    """
-    half = 0.5 * h
-    a2 = _apply(w_mid, quat.ONE + half * w0, side)
-    a3 = _apply(w_mid, quat.ONE + half * a2, side)
-    a4 = _apply(w1, quat.ONE + h * a3, side)
-    return quat.normalize(quat.ONE + (h / 6.0) * (w0 + 2.0 * a2 + 2.0 * a3 + a4))
 
 
 def _body_velocity(g, cdot, xi, side):
@@ -385,8 +367,8 @@ def horizontal_lift(curve, axis, side, start, step=1e-3):
     curve and g horizontal.  Every classical RK4 step of this linear ODE
     is one unit quaternion; the steps are built together from the curve's
     spline at the nodes and midpoints, chained by a prefix product and
-    renormalized.  The horizontality, speed and tracking residuals are
-    measured at the nodes.
+    renormalized.  The velocities W g or g V, and the horizontality, speed
+    and tracking residuals, are taken at the nodes.
     """
     _check_side(side)
     step = _finite(step, "step", 0, 0.1)
@@ -415,12 +397,24 @@ def horizontal_lift(curve, axis, side, start, step=1e-3):
     # the curve at the grid nodes, then at the step midpoints
     nodes = np.concatenate([grid, grid[:-1] + 0.5 * h])
     c, cdot = spl(nodes), spl(nodes, 1)
-    w = _lift_generator(c, cdot, side)
-    steps = _rk4_propagators(w[:n_steps], w[n_steps + 1:], w[1:n_steps + 1], h, side)
+    # W (left) or V (right) from the renormalized curve
+    w = 0.5 * np.cross(c / np.linalg.norm(c, axis=-1)[..., None], cdot)
+    w = quat.from_vec3(w if side == "left" else -w)
+    # with generators W0, Wm and W1 at the start, middle and end of a step, the
+    # RK4 stage slopes of g' = W g are a_k g with a1 = W0, a2 = Wm (1 + h/2 a1),
+    # a3 = Wm (1 + h/2 a2), a4 = W1 (1 + h a3), so the step is g -> P g with
+    # P = 1 + h/6 (a1 + 2 a2 + 2 a3 + a4); the right lift mirrors every product.
+    # |P g| = |P| |g|, so normalizing P is the same as renormalizing the state.
+    w0, w_mid, w1 = w[:n_steps], w[n_steps + 1:], w[1:n_steps + 1]
+    a2 = _apply(w_mid, quat.ONE + 0.5 * h * w0, side)
+    a3 = _apply(w_mid, quat.ONE + 0.5 * h * a2, side)
+    a4 = _apply(w1, quat.ONE + h * a3, side)
+    steps = quat.normalize(quat.ONE + (h / 6.0) * (w0 + 2.0 * a2 + 2.0 * a3 + a4))
     chained = _prefix_products(steps, lambda earlier, later: _apply(later, earlier, side))
     samples = np.empty((n_steps + 1, 4))
     samples[0] = g0
     samples[1:] = quat.normalize(_apply(chained, g0, side))
+    velocities = _apply(w[:n_steps + 1], samples, side)
 
     u = _body_velocity(samples[:-1], cdot[:n_steps], xi, side)
     horiz = float(np.abs(u @ a).max())
@@ -430,13 +424,13 @@ def horizontal_lift(curve, axis, side, start, step=1e-3):
     return HorizontalCurve(
         params=grid,
         samples=samples,
+        velocities=velocities,
         side=side,
         axis=a,
         step=h,
         horizontality_residual=horiz,
         speed_residual=speed_dev,
         tracking_residual=tracking,
-        _spline=spl,
     )
 
 
@@ -492,6 +486,24 @@ def fiber_angle(element, axis):
     return math.atan2(along, real), off
 
 
+def _quasiperiod(curve, side, axis, lo, hi, period):
+    """Read a curve g of S^3 over one period p of its Hopf projection.
+
+    curve maps 1-d parameter arrays to (N, 4) quaternions.  From one
+    evaluation of it this returns the holonomy element E = conj(g(lo))
+    g(lo + p) (left; g(lo + p) conj(g(lo)) right), E's fiber angle about the
+    unit 3-vector axis and its distance off that fiber circle, and the worst
+    displacement |g(t + p) - g(t) E| (left; E g(t) right) at nine times from
+    lo to hi - p, or at lo alone when [lo, hi] holds no more than a period.
+    """
+    ts = np.linspace(lo, hi - period, 9) if hi - lo > period + 1e-9 else np.array([lo])
+    G = curve(np.concatenate([ts, ts + period]))
+    g, shifted = G[:len(ts)], G[len(ts):]
+    element = _apply(quat.conj(g[0]), shifted[0], side)
+    displacement = float(np.linalg.norm(shifted - _apply(g, element, side), axis=-1).max())
+    return (element, *fiber_angle(element, axis), displacement)
+
+
 def holonomy(lift, period, tol=1e-6):
     """Rotation number of the lift over one period of its projected curve.
 
@@ -501,51 +513,23 @@ def holonomy(lift, period, tol=1e-6):
     use gamma(p) gamma(0)^-1 acting on the left.
     """
     tol = _finite(tol, "tol")
-    t0, t1 = lift.params[0], lift.params[-1]
-    period = _finite(period, "period", 0, float(t1 - t0) + 1e-9)
-    g_start = lift.samples[0]
-    g_period = lift.at(t0 + period)
-    if lift.side == "left":
-        element = quat.mul(quat.conj(g_start), g_period)
-    else:
-        element = quat.mul(g_period, quat.conj(g_start))
-
+    t0, t1 = float(lift.params[0]), float(lift.params[-1])
+    period = _finite(period, "period", 0, t1 - t0 + 1e-9)
     a = lift.axis
-    angle, off = fiber_angle(element, a)
+    element, angle, off, residual = _quasiperiod(lift._points, lift.side, a, t0, t1, period)
     if off > tol:
         raise ValidationError(
             f"holonomy element lies {off:.3e} off the axis circle subgroup; "
             "the projection is not periodic or the lift is not horizontal"
         )
     q = (angle / _TWO_PI) % 1.0
-
-    # quasiperiodicity and projected periodicity at interior samples
-    ts = np.linspace(t0, t1 - period, 9) if t1 - t0 > period + 1e-9 else np.array([t0])
-    worst = 0.0
-    for t in ts:
-        g_t = lift.at(t)
-        g_shift = lift.at(t + period)
-        if lift.side == "left":
-            pred = quat.mul(g_t, element)
-        else:
-            pred = quat.mul(element, g_t)
-        worst = max(worst, float(np.linalg.norm(g_shift - pred)))
-        proj_gap = np.linalg.norm(
-            hopf(a, lift.side, g_shift) - hopf(a, lift.side, g_t)
-        )
-        worst = max(worst, proj_gap)
-    if worst > 10.0 * tol:
-        raise ValidationError(f"lift is not quasiperiodic, residual {worst:.3e}")
+    if residual > 10.0 * tol:
+        raise ValidationError(f"lift is not quasiperiodic, residual {residual:.3e}")
 
     target = quat.exp_im(quat.from_vec3(_TWO_PI * q * a))
     if np.linalg.norm(target - element / quat.norm(element)) > 10.0 * tol:
         raise ValidationError("holonomy element does not match exp(2 pi q axis)")
     return Holonomy(q=q, element=element, axis=a.copy(), side=lift.side, period=period)
-
-
-def _mod1_distance(x, y):
-    f = abs(x - y) % 1.0
-    return min(f, 1.0 - f)
 
 
 def holonomy_area_check(curve, axis, side, step=1e-3, tol=1e-6):
@@ -566,7 +550,8 @@ def holonomy_area_check(curve, axis, side, step=1e-3, tol=1e-6):
     area = signed_area(unit)
     side_sign = 1.0 if side == "left" else -1.0
     q_area = (-side_sign * area / _FOUR_PI) % 1.0
-    return hol.q, q_area, _mod1_distance(hol.q, q_area) < tol
+    gap = abs(hol.q - q_area) % 1.0
+    return hol.q, q_area, min(gap, 1.0 - gap) < tol
 
 
 def _periodic_stencil(values, h):

@@ -1,6 +1,7 @@
 """Constant-curvature patches: Gauss lifts, flat metrics, Chebyshev nets, sine-Gordon."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -427,3 +428,34 @@ class TestPatchGenerators:
         patch = cec.hyperbolic_cylinder_patch(0.7, 33)
         b = np.einsum("...a,...a->...", patch.e * cec.H3_SIGMA, patch.e)
         assert np.abs(b + 1.0).max() < 1e-12
+
+    @pytest.mark.parametrize("r, resolution, t_range, phi_range", [
+        (0.7, 33, (-1.0, 1.0), (0.0, 2.0 * math.pi)),
+        (8.0, 64, (-1.0, 1.0), (0.0, 2.0 * math.pi)),
+        (2.5, 17, (-3.0, 0.5), (-1.0, 1.0)),
+    ])
+    def test_cylinder_is_bit_identical_to_its_stacked_expression(
+            self, r, resolution, t_range, phi_range):
+        # the whole-grid form the planes replaced: meshgrid, four-plane stacks, scaled sums
+        patch = cec.hyperbolic_cylinder_patch(r, resolution, t_range, phi_range)
+        t = np.linspace(t_range[0], t_range[1], resolution)
+        phi = np.linspace(phi_range[0], phi_range[1], resolution)
+        tt, pp = np.meshgrid(t, phi, indexing="ij")
+        gam = np.stack([np.zeros_like(tt), np.zeros_like(tt), np.sinh(tt), np.cosh(tt)], axis=-1)
+        rad = np.stack([np.cos(pp), np.sin(pp), np.zeros_like(pp), np.zeros_like(pp)], axis=-1)
+        e = math.cosh(r) * gam + math.sinh(r) * rad
+        nu = math.sinh(r) * gam + math.cosh(r) * rad
+        assert patch.e.tobytes() == e.tobytes()
+        assert patch.nu.tobytes() == nu.tobytes()
+
+    def test_cylinder_holds_under_twice_its_fields(self):
+        # the stacked form peaked at 2.75 times the bytes of e and nu at this size
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            patch = cec.hyperbolic_cylinder_patch(1.0, 256)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        ratio = (peak - before) / (patch.e.nbytes + patch.nu.nbytes)
+        assert ratio < 2.0, f"peak {ratio:.2f} times the bytes of e and nu"

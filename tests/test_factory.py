@@ -616,6 +616,18 @@ def test_divisibility_rule_matches_fraction_loop():
         assert list(zip(m[on].tolist(), n[on].tolist())) == _reference_candidates(s1, s2)
 
 
+def _assert_factor_residuals(factors):
+    # construct's 257-point horizontality and speed residuals, held far below its 1e-6
+    for gamma, velocity, rng, axis, side in (
+            (factors.gamma1, factors.velocity1, factors.t1_range, factors.axis1(), "right"),
+            (factors.gamma2, factors.velocity2, factors.t2_range, factors.axis2(), "left")):
+        ts = np.linspace(rng[0], rng[1], 257)
+        G, dG = gamma(ts), velocity(ts)
+        fiber = quat.mul(axis, G) if side == "right" else quat.mul(G, axis)
+        assert np.abs(quat.dot(dG, fiber)).max() <= 1e-10
+        assert np.abs(quat.norm(dG) - 1.0).max() <= 1e-10
+
+
 def test_torus_ansatz_great_circles():
     c1 = latitude_through([0, 0, 1], [1, 0, 0], math.pi / 2)
     c2 = latitude_through([0, 0, -1], [0, 1, 0], math.pi / 2, ccw=True)
@@ -626,6 +638,7 @@ def test_torus_ansatz_great_circles():
     assert lat.q1 == Fraction(1, 2)
     assert lat.q2 == Fraction(1, 2)
     _assert_rule_residual(grid.factors, lat)
+    _assert_factor_residuals(grid.factors)
     assert lat.contains(1, 1) and lat.contains(2, 0) and lat.contains(0, 2)
     assert not lat.contains(1, 0) and not lat.contains(0, 1)
     rep = flat_torus_criteria(grid, lat)
@@ -647,6 +660,7 @@ def test_torus_ansatz_cap_two_thirds():
     assert lat.q2 == Fraction(2, 3)
     assert abs(lat.q1_measured - 2.0 / 3.0) < 1e-9
     _assert_rule_residual(grid.factors, lat)
+    _assert_factor_residuals(grid.factors)
     assert abs(lat.p1 - math.pi * math.sin(math.acos(1.0 / 3.0))) < 1e-9
     # lattice rule m = n mod 3
     assert lat.contains(1, 1) and lat.contains(3, 0) and lat.contains(0, 3)
@@ -679,6 +693,23 @@ def test_torus_ansatz_refuses_bad_sample_counts(counts, message):
     c2 = latitude_through([0, 0, -1], [0, 1, 0], math.pi / 2, ccw=True)
     with pytest.raises(ValidationError, match=message):
         torus_ansatz(quat.ONE, quat.QK, c1, c2, **counts)
+
+
+@pytest.mark.parametrize("circles", [
+    lambda: (latitude_through([0, 0, 1], [1, 0, 0], math.pi / 2),
+             latitude_through([0, 0, -1], [0, 1, 0], math.pi / 2, ccw=True)),
+    lambda: _cap_circles(1.0 / 3.0),
+], ids=["great_circles", "caps"])
+def test_lift_holonomy_matches_the_lattice_rotation(circles):
+    # the first factor of the torus is the right lift of c1 about conj(a) b = k
+    # through the identity; holonomy reads q = psi / 2 pi where the lattice
+    # reads q1 = -psi / 2 pi, through the same quasiperiod reader
+    c1, c2 = circles()
+    _, lat = torus_ansatz(quat.ONE, quat.QK, c1, c2, n1=17, n2=17)
+    lift = sphere.horizontal_lift(c1, [0.0, 0.0, 1.0], "right", quat.ONE)
+    hol = sphere.holonomy(lift, lat.p1)
+    gap = (hol.q + lat.q1_measured) % 1.0
+    assert min(gap, 1.0 - gap) < 1e-12
 
 
 def test_torus_ansatz_irrational_rotation():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from bileg import quat
+from bileg import _spline, quat, sphere
 from bileg.clifford import Signature2, element
 from bileg.errors import PreconditionError, ValidationError
 from bileg.sphere import (
@@ -250,6 +250,35 @@ def test_lift_roundtrip_fourier():
             assert lift.tracking_residual < 1e-8
             assert lift.horizontality_residual < 1e-12
             assert np.abs(np.linalg.norm(lift.samples, axis=1) - 1.0).max() < 1e-12
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_lift_records_its_node_velocities(side):
+    # the record keeps no spline, and its velocities are W g (left) or g V
+    # (right), W = -V = c x c'/2 on the curve's spline at the nodes
+    rng = np.random.default_rng(29)
+    curve = reparametrize(_fourier_curve(rng), n=2048)
+    axis = np.array([0.0, 0.6, 0.8])
+    lift = horizontal_lift(curve, axis, side, hopf_preimage(axis, curve.samples[0], side),
+                           step=2e-3)
+    assert not any(isinstance(value, _spline.Spline) for value in vars(lift).values())
+    spl = sphere._curve_spline(curve)
+    c = spl(lift.params)
+    w = quat.from_vec3(0.5 * np.cross(c / np.linalg.norm(c, axis=1)[:, None],
+                                      spl(lift.params, 1)))
+    expect = quat.mul(w, lift.samples) if side == "left" else quat.mul(lift.samples, -w)
+    np.testing.assert_allclose(lift.velocities, expect, rtol=0.0, atol=1e-15)
+
+
+def test_holonomy_forms_only_the_pieces_it_reads(monkeypatch):
+    # nine sample times and their shifts off the grid: at most 36 knots, not the
+    # whole lift's spline
+    curve = _great_circle_curve(n=16001, turns=2)
+    lift = horizontal_lift(curve, I3, "left", np.array([1.0, 0, 0, 0]), step=1e-3)
+    sizes, hermite = [], _spline.hermite
+    monkeypatch.setattr(_spline, "hermite", lambda x, y, dy: sizes.append(len(x)) or hermite(x, y, dy))
+    assert _mod1_dist(holonomy(lift, math.pi).q, 0.5) < 1e-8
+    assert sizes and max(sizes) <= 36
 
 
 def test_lift_validation():
