@@ -141,17 +141,19 @@ def stencil_rows(rows, n):
     return slice(lo, hi)
 
 
-def prefix_products(steps, combine):
+def prefix_products(steps, combine, axis=0):
     """Running products of a sequence of steps in log2(n) batched passes.
 
-    combine(earlier, later) composes two stacks of steps and must be
-    associative; entry k of the result is the composition of steps 0..k
-    (a Hillis-Steele inclusive scan).
+    The steps run along `axis`; combine(earlier, later) composes two stacks
+    of steps and must be associative; entry k of the result is the
+    composition of steps 0..k (a Hillis-Steele inclusive scan).
     """
     out = np.array(steps, dtype=float)
+    lead = (slice(None),) * (axis % out.ndim)
     k = 1
-    while k < len(out):
-        out[k:] = combine(out[:-k], out[k:])
+    while k < out.shape[axis]:
+        later = lead + (slice(k, None),)
+        out[later] = combine(out[lead + (slice(None, -k),)], out[later])
         k *= 2
     return out
 

@@ -804,7 +804,8 @@ def from_theta(theta0, f, g, x1, x2, step=1e-3):
     keeps the O(h^4) error of an interpolant.  The factors are assembled
     with a = 1, b = k.  Bad theta0, step (outside (0, 0.1] or over `MAX_COUNT`
     steps each way) or potentials raise ValidationError; a step near 0.1 with
-    large potentials can miss `construct`'s 1e-6 check (PreconditionError).
+    large potentials can miss `construct`'s 1e-6 check, and the
+    PreconditionError then names the step and asks for a smaller one.
     """
     theta0 = _finite(theta0, "theta0")
     step = _finite(step, "step", 0, 0.1)
@@ -831,11 +832,18 @@ def from_theta(theta0, f, g, x1, x2, step=1e-3):
     # T' = kappa N - gamma, with N = k T on the first factor and -T k on the second
     dT1 = kappa1(ts1)[:, None] * quat.mul(quat.QK, T1) - G1
     dT2 = -kappa2(ts2)[:, None] * quat.mul(T2, quat.QK) - G2
-    return construct(
-        quat.ONE, quat.QK, _spline.hermite(ts1, G1, T1), _spline.hermite(ts2, G2, T2), x1, x2,
-        dgamma1=_spline.hermite(ts1, T1, dT1), dgamma2=_spline.hermite(ts2, T2, dT2),
-        t1_range=(lo1, hi1), t2_range=(lo2, hi2),
-    )
+    try:
+        return construct(
+            quat.ONE, quat.QK, _spline.hermite(ts1, G1, T1), _spline.hermite(ts2, G2, T2), x1, x2,
+            dgamma1=_spline.hermite(ts1, T1, dT1), dgamma2=_spline.hermite(ts2, T2, dT2),
+            t1_range=(lo1, hi1), t2_range=(lo2, hi2),
+        )
+    except PreconditionError as err:
+        # the factors are horizontal and unit speed up to the integration error
+        raise PreconditionError(
+            f"the factors integrated at step {step} miss construct's check ({err}); "
+            "take a smaller step"
+        ) from err
 
 
 def projection_immersion_test(angle, tol=1e-9):

@@ -540,6 +540,17 @@ def test_from_theta_names_a_non_finite_potential(bad):
         from_theta(0.7, f, g, x, x)
 
 
+def test_from_theta_refusal_names_the_step():
+    # at the largest step the second factor misses construct's 1e-6 check
+    # (horizontality residual 2.1e-6); at step 0.05 it passes
+    x = np.linspace(-0.3, 0.3, 41)
+    f = lambda s: 0.1 + 0.1 * s + 0.1 * s * s
+    g = lambda s: 0.1 * np.cos(3.0 * s) + 0.1 * s
+    with pytest.raises(PreconditionError, match=r"step 0\.1 .*take a smaller step"):
+        from_theta(0.5, f, g, x, x, step=0.1)
+    from_theta(0.5, f, g, x, x, step=0.05)
+
+
 def test_from_theta_random_potentials():
     rng = np.random.default_rng(7)
     c1 = rng.uniform(-0.3, 0.3, size=3)

@@ -58,6 +58,73 @@ def _ref_lift(curve, axis, side, start, step):
     return out
 
 
+# reference: the batched lift with every quaternion held as a (n, 4) stack
+
+def _stack_apply(p, g, side):
+    return quat.mul(p, g) if side == "left" else quat.mul(g, p)
+
+
+def _stack_lift(curve, axis, side, start, step):
+    """Samples, velocities and the three residuals of the batched lift, with
+    the products taken by `quat.mul` on (n, 4) stacks."""
+    spl = sphere._curve_spline(curve)
+    a = np.asarray(axis, float) / np.linalg.norm(axis)
+    xi = quat.from_vec3(a)
+    g0 = quat.normalize(start)
+    t0, t1 = float(curve.params[0]), float(curve.params[-1])
+    n = max(1, math.ceil((t1 - t0) / step))
+    h = (t1 - t0) / n
+    grid = t0 + h * np.arange(n + 1)
+    nodes = np.concatenate([grid, grid[:-1] + 0.5 * h])
+    c, cdot = spl(nodes), spl(nodes, 1)
+    w = 0.5 * np.cross(c / np.linalg.norm(c, axis=-1)[..., None], cdot)
+    w = quat.from_vec3(w if side == "left" else -w)
+    w0, w_mid, w1 = w[:n], w[n + 1:], w[1:n + 1]
+    a2 = _stack_apply(w_mid, quat.ONE + 0.5 * h * w0, side)
+    a3 = _stack_apply(w_mid, quat.ONE + 0.5 * h * a2, side)
+    a4 = _stack_apply(w1, quat.ONE + h * a3, side)
+    steps = quat.normalize(quat.ONE + (h / 6.0) * (w0 + 2.0 * a2 + 2.0 * a3 + a4))
+    chained = _fd.prefix_products(steps, lambda e, later: _stack_apply(later, e, side))
+    samples = np.empty((n + 1, 4))
+    samples[0] = g0
+    samples[1:] = quat.normalize(_stack_apply(chained, g0, side))
+    velocities = _stack_apply(w[:n + 1], samples, side)
+    g, cd = samples[:-1], quat.from_vec3(cdot[:n])
+    if side == "left":
+        v = quat.from_vec3(quat.to_vec3(quat.mul(quat.mul(quat.inv(g), cd), g)))
+        u = -0.5 * quat.to_vec3(quat.mul(v, xi))
+    else:
+        v = quat.from_vec3(quat.to_vec3(quat.mul(quat.mul(g, cd), quat.inv(g))))
+        u = -0.5 * quat.to_vec3(quat.mul(xi, v))
+    horiz = float(np.abs(u @ a).max())
+    speed = float(np.abs(np.linalg.norm(u, axis=1) - 1.0).max())
+    track = sphere.hopf(a, side, samples) - c[:n + 1]
+    tracking = float(np.linalg.norm(track, axis=1).max())
+    return samples, velocities, (horiz, speed, tracking)
+
+
+# a unit axis whose normalization moves in its last bits when normalized
+# again, as `hopf` does
+ODD_AXIS = [0.9698243673082586, -0.03271874667890908, -0.24159921396994988]
+
+
+@pytest.mark.parametrize("side", sphere.SIDES)
+@pytest.mark.parametrize("seed", [31, 37])
+def test_plane_lift_is_bit_identical_to_the_stack_lift(seed, side):
+    rng = np.random.default_rng(seed)
+    curve = reparametrize(_fourier_curve(rng), n=4096)
+    axis = rng.normal(size=3)
+    axis = axis / np.linalg.norm(axis) if seed == 31 else np.array(ODD_AXIS)
+    start = hopf_preimage(axis, curve.samples[0], side)
+    for step in (1e-3, 0.05):
+        lift = horizontal_lift(curve, axis, side, start, step=step)
+        samples, velocities, residuals = _stack_lift(curve, axis, side, start, step)
+        assert np.array_equal(lift.samples, samples)
+        assert np.array_equal(lift.velocities, velocities)
+        assert (lift.horizontality_residual, lift.speed_residual,
+                lift.tracking_residual) == residuals
+
+
 # reference: one RK4 step of F' = F Omega, then QR, per loop iteration
 
 def _ref_frenet(kappa_fn, tau, F0, t_lo, t_hi, step):

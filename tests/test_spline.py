@@ -1,10 +1,12 @@
 """The numpy spline kernel and the arc-length table against scipy, and a
 runtime that never imports scipy.  scipy is a test dependency only."""
 
+import math
 import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +14,7 @@ import pytest
 from scipy.interpolate import CubicSpline, RectBivariateSpline
 
 from bileg import _spline, sphere
-from bileg.errors import ValidationError
+from bileg.errors import PreconditionError, ValidationError
 
 SRC = str(Path(sphere.__file__).resolve().parents[1])
 REL = 1e-12
@@ -209,6 +211,125 @@ def test_arc_length_table_matches_the_simpson_reference(curve):
         unit = sphere.reparametrize(curve, n=n)
         assert abs(unit.b4_length - length) < 1e-9
         assert np.abs(unit.samples[:-1] - points[:-1]).max() < 1e-9
+
+
+class _SumOfSquaresArcLength:
+    """The arc-length table with the speed taken as the norm of the velocity
+    at every point and three Newton rounds, where the package forms |c'|^2
+    as one quartic per interval and takes two rounds."""
+
+    # the speed is sampled at the rule's nodes, then at both ends of the interval
+    OFFSETS = np.append(sphere._GL_NODES, [0.0, 1.0])
+
+    def __init__(self, curve):
+        self.spline = sphere._curve_spline(curve)
+        self.velocity = self.spline.derivative().c
+        self.widths = widths = np.diff(curve.params)
+        speed = self._speed(self.velocity, np.multiply.outer(self.OFFSETS, widths))
+        self.min_speed = float(speed.min())
+        self.knot_lengths = np.concatenate(
+            [[0.0], np.cumsum(widths * (sphere._GL_WEIGHTS @ speed[:5]))])
+        self.length = float(self.knot_lengths[-1])
+
+    @staticmethod
+    def _speed(cv, u):
+        return np.sqrt((_spline.horner(cv[:, :, None], u) ** 2).sum(axis=0))
+
+    def points(self, s):
+        table = self.knot_lengths
+        i = np.clip(np.searchsorted(table, s, side="right") - 1, 0, len(table) - 2)
+        width = self.widths[i]
+        within = s - table[i]
+        u = width * within / (table[i + 1] - table[i])
+        cv = np.take(self.velocity, i, axis=-1)
+        for _ in range(3):
+            speed = self._speed(cv, np.multiply.outer(self.OFFSETS, u))
+            partial = u * (sphere._GL_WEIGHTS @ speed[:5])
+            u = np.clip(u - (partial - within) / np.maximum(speed[-1], 1e-12), 0.0, width)
+        c = _spline.horner(np.take(self.spline.c, i, axis=-1), u).T
+        return c / np.linalg.norm(c, axis=1)[:, None]
+
+
+@pytest.mark.parametrize("curve", list(_loops()))
+def test_quartic_speed_agrees_with_the_sum_of_squares_reference(monkeypatch, curve):
+    got = sphere.reparametrize(curve, n=4096)
+    gauss_bonnet = sphere.gauss_bonnet_check(curve)[2]
+    monkeypatch.setattr(sphere, "_ArcLength", _SumOfSquaresArcLength)
+    want = sphere.reparametrize(curve, n=4096)
+    assert abs(got.b4_length - want.b4_length) < 1e-12
+    assert np.abs(got.samples - want.samples).max() < 1e-12
+    assert abs(gauss_bonnet - sphere.gauss_bonnet_check(curve)[2]) < 1e-10
+
+
+def _plateau(n=512, m=40):
+    """Angles along a great circle that nearly stop on m of n - 1 intervals:
+    the spline's speed there is about 1.1e-10."""
+    steps = np.ones(n - 1)
+    steps[200:200 + m] = 1e-9
+    return 2.0 * math.pi * np.concatenate([[0.0], np.cumsum(steps)]) / steps.sum()
+
+
+def _reversal(n=257):
+    """Angles that run back and forth along a great circle: the speed
+    vanishes at two knots, and the quartic rounds below 0 at one of them
+    when read from the piece on its left."""
+    return 2.0 * np.sin(np.linspace(0.0, 2.0 * math.pi, n))
+
+
+@pytest.mark.parametrize("angles", [_plateau(), _reversal()], ids=["plateau", "reversal"])
+def test_stationary_segment_is_refused_without_warning(angles):
+    t = np.linspace(0.0, 2.0 * math.pi, len(angles))
+    samples = np.stack([np.cos(angles), np.sin(angles), np.zeros_like(t)], axis=1)
+    samples[-1] = samples[0]
+    curve = sphere.SphereCurve(samples, t, closed=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PreconditionError, match="stationary segment"):
+            sphere.reparametrize(curve)
+        with pytest.raises(PreconditionError, match="stationary segment"):
+            sphere.gauss_bonnet_check(curve)
+        with pytest.raises(PreconditionError, match="stationary segment"):
+            sphere.holonomy_area_check(curve, [0.0, 0.0, 1.0], "left")
+
+
+def _dominant_system(rng, n, delta, k):
+    """A tridiagonal system (a, b, c, d) of n unknowns and k right-hand sides
+    whose dominance ratio max (|a| + |c|) / |b| is delta."""
+    b = rng.uniform(0.5, 2.0, n) * rng.choice([-1.0, 1.0], n)
+    share = rng.uniform(0.0, 1.0, n)
+    size = delta * np.abs(b) * rng.uniform(0.2, 1.0, n)
+    if n > 2:
+        j = rng.integers(1, n - 1)
+        size[j] = delta * abs(b[j])  # an interior row at the ratio
+    a = share * size * rng.choice([-1.0, 1.0], n)
+    c = (1.0 - share) * size * rng.choice([-1.0, 1.0], n)
+    a[0] = c[-1] = 0.0
+    return a, b, c, rng.normal(size=(k, n))
+
+
+@pytest.mark.parametrize("delta", [0.5, 0.3, 0.1, 1e-2, 1e-3])
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 1023, 2047, 5000])
+def test_level_bound_matches_the_full_reduction(delta, n):
+    rng = np.random.default_rng(int(1e6 * delta) + n)
+    for k in (1, 2, 4):
+        a, b, c, d = _dominant_system(rng, n, delta, k)
+        got = _spline._solve_tridiagonal(a, b, c, d)
+        full = _spline._reduce(a, b, c, d, n)
+        ulp = np.spacing(np.abs(full).max(axis=1, keepdims=True))
+        assert np.all((got == full) | (np.abs(got - full) <= ulp))
+
+
+def test_level_bound_runs_every_level_without_dominance():
+    rng = np.random.default_rng(3)
+    for delta in (1.0, 1.5):
+        a, b, c, d = _dominant_system(rng, 1000, delta, 2)
+        assert _spline._levels(a, b, c) >= 1000
+        full = _spline._reduce(a, b, c, d, 1000)
+        assert np.array_equal(_spline._solve_tridiagonal(a, b, c, d), full)
+    # each level at most squares the ratio: 0.5 needs 7 levels to pass 2^-64
+    assert _spline._levels(np.full(5, 0.25), np.ones(5), np.full(5, 0.25)) == 7
+    assert _spline._levels(np.full(5, 0.5), np.ones(5), np.full(5, 0.5)) == 5
+    assert _spline._levels(np.zeros(5), np.ones(5), np.zeros(5)) == 0
 
 
 def _run(code):

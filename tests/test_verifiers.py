@@ -615,6 +615,30 @@ def test_mul_is_bit_identical_to_the_stacked_product():
         _bits_equal(out, _stack_mul(p, q))
         assert not np.shares_memory(out, p) and not np.shares_memory(out, q)
         assert out.base is None
+        if p.ndim > 1 or q.ndim > 1:
+            # the same product on component planes, a single quaternion as a column
+            planes = quat._mul_planes(np.moveaxis(p, -1, 0).reshape(4, *p.shape[:-1] or (1,)),
+                                      np.moveaxis(q, -1, 0).reshape(4, *q.shape[:-1] or (1,)))
+            _bits_equal(np.ascontiguousarray(np.moveaxis(planes, 0, -1)), out)
+
+
+def test_dot_is_the_ordered_sum_of_four_products():
+    rng = np.random.default_rng(17)
+    grid = _spread(rng, (33, 17, 4))
+    cases = [
+        (_spread(rng, (4,)), _spread(rng, (4,))),
+        (np.array([0.0, -0.0, 0.0, -0.0]), np.array([-1.0, 1.0, -1.0, 1.0])),  # -0.0
+        (_spread(rng, (4,)), _spread(rng, (65, 4))),
+        (_spread(rng, (33, 1, 4)), _spread(rng, (1, 17, 4))),
+        (grid[:, 5], _spread(rng, (33, 4))),
+        (grid, grid[::-1]),
+    ]
+    for p, q in cases:
+        got = quat.dot(p, q)
+        want = p[..., 0] * q[..., 0] + p[..., 1] * q[..., 1] + p[..., 2] * q[..., 2] \
+            + p[..., 3] * q[..., 3]
+        assert type(got) is type(want)
+        _bits_equal(np.asarray(got), np.asarray(want))
 
 
 def test_cross4_and_d_uniform_are_bit_identical_to_their_expressions():
